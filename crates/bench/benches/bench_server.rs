@@ -28,7 +28,8 @@ use mccatch_metric::Euclidean;
 use mccatch_obs::{Histogram, HistogramSnapshot};
 use mccatch_server::client::Connection;
 use mccatch_server::{ndjson, serve, ServerConfig, ServerHandle};
-use mccatch_stream::{RefitPolicy, StreamConfig, StreamDetector};
+use mccatch_stream::{RefitPolicy, StreamConfig};
+use mccatch_tenant::{Tenant, TenantMap, TenantSpec};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -39,32 +40,36 @@ const BATCH_LINES: usize = 500;
 const CLIENTS: usize = 4;
 const REQUESTS_PER_CLIENT: usize = 150;
 
-type Detector = StreamDetector<Vec<f64>, Euclidean, KdTreeBuilder>;
+type DefaultTenant = Tenant<Vec<f64>, Euclidean, KdTreeBuilder>;
 
-/// Boots a server over an http-10k detector (2k-window seed) and
-/// returns the handle, the shared detector, and the held-out events.
+/// Boots a server whose default tenant (one shard, behind the bare
+/// endpoints) is seeded with a 2k window of http-10k, and returns the
+/// handle, the shared default tenant, and the held-out events.
 /// `traced` turns on per-request span collection with an unreachable
 /// tail-sampling threshold, so the bench pays the full collection cost
 /// while the ring stays near-empty — the honest "tracing enabled"
 /// number.
-fn boot(traced: bool) -> (ServerHandle, Arc<Detector>, Vec<Vec<f64>>) {
+fn boot(traced: bool) -> (ServerHandle, Arc<DefaultTenant>, Vec<Vec<f64>>) {
     let data = http(10_000, 1);
     let seed: Vec<Vec<f64>> = data.points[..WINDOW].to_vec();
     let events: Vec<Vec<f64>> = data.points[WINDOW..].to_vec();
-    let detector = Arc::new(
-        StreamDetector::new(
-            StreamConfig {
-                capacity: WINDOW,
-                policy: RefitPolicy::Manual,
-                ..StreamConfig::default()
-            },
+    let tenants = Arc::new(
+        TenantMap::new(
             McCatch::builder().build().expect("defaults are valid"),
             Euclidean,
             KdTreeBuilder::default(),
-            seed,
+            TenantSpec {
+                stream: StreamConfig {
+                    capacity: WINDOW,
+                    policy: RefitPolicy::Manual,
+                    ..StreamConfig::default()
+                },
+                ..TenantSpec::default()
+            },
         )
-        .expect("valid streaming config"),
+        .expect("valid tenant spec"),
     );
+    let default = tenants.create_default(seed).expect("seed fit");
     let server = serve(
         "127.0.0.1:0",
         ServerConfig {
@@ -73,12 +78,13 @@ fn boot(traced: bool) -> (ServerHandle, Arc<Detector>, Vec<Vec<f64>>) {
             trace_slow_ms: traced.then_some(600_000),
             ..ServerConfig::default()
         },
-        Arc::clone(&detector),
+        Arc::clone(&default),
+        tenants,
         ndjson::vector_parser(Some(3)),
         "kd",
     )
     .expect("ephemeral bind");
-    (server, detector, events)
+    (server, default, events)
 }
 
 /// Pre-renders the held-out events into NDJSON request bodies of
@@ -112,11 +118,12 @@ fn bodies(events: &[Vec<f64>]) -> Vec<String> {
 /// completed, per-request latency).
 fn hammer(
     addr: SocketAddr,
-    detector: &Arc<Detector>,
+    default: &Arc<DefaultTenant>,
     bodies: &Arc<Vec<String>>,
     concurrent_refits: bool,
 ) -> (u64, Duration, u64, HistogramSnapshot) {
-    let refits_before = detector.stats().refits_completed;
+    let refits_completed = || default.shard_stats()[0].refits_completed;
+    let refits_before = refits_completed();
     let stop_refitter = Arc::new(AtomicBool::new(false));
     let refitter = concurrent_refits.then(|| {
         let stop = Arc::clone(&stop_refitter);
@@ -165,7 +172,7 @@ fn hammer(
     if let Some(r) = refitter {
         r.join().expect("refitter");
     }
-    let refits = detector.stats().refits_completed - refits_before;
+    let refits = refits_completed() - refits_before;
     (scored, elapsed, refits, latency.snapshot())
 }
 
@@ -225,7 +232,7 @@ fn bench_server_throughput(c: &mut Criterion) {
     group.sample_size(10);
 
     // Criterion timing: one keep-alive request of BATCH_LINES vectors.
-    let (server, _detector, events) = boot(false);
+    let (server, _default, events) = boot(false);
     let addr = server.local_addr();
     let request_bodies = bodies(&events);
     let mut conn = Connection::open(addr).expect("bench connect");
@@ -256,10 +263,10 @@ fn bench_server_throughput(c: &mut Criterion) {
         ("score_with_concurrent_refit", true, false),
         ("score_only_traced", false, true),
     ] {
-        let (server, detector, events) = boot(traced);
+        let (server, default, events) = boot(traced);
         let bodies = Arc::new(bodies(&events));
         let (scored, elapsed, refits, latency) =
-            hammer(server.local_addr(), &detector, &bodies, concurrent);
+            hammer(server.local_addr(), &default, &bodies, concurrent);
         println!(
             "server_http10k/{name}: {scored} events in {elapsed:.2?} = {:.0} events/sec \
              ({:.0} requests/sec, p50 {:.2}ms p99 {:.2}ms, refits completed {refits}, \
@@ -268,7 +275,7 @@ fn bench_server_throughput(c: &mut Criterion) {
             (CLIENTS * REQUESTS_PER_CLIENT) as f64 / elapsed.as_secs_f64().max(1e-9),
             latency.quantile(0.50) * 1e3,
             latency.quantile(0.99) * 1e3,
-            detector.generation(),
+            default.generation(),
         );
         headline.push((scored, elapsed, refits, latency));
         server.shutdown();

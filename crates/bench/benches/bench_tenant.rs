@@ -22,8 +22,8 @@ use mccatch_data::http;
 use mccatch_index::KdTreeBuilder;
 use mccatch_metric::Euclidean;
 use mccatch_server::client::Connection;
-use mccatch_server::{ndjson, serve_tenants, ServerConfig, ServerHandle};
-use mccatch_stream::{RefitPolicy, StreamConfig, StreamDetector};
+use mccatch_server::{ndjson, serve, ServerConfig, ServerHandle};
+use mccatch_stream::{RefitPolicy, StreamConfig};
 use mccatch_tenant::{boot_tenant_name, TenantMap, TenantSpec};
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -38,7 +38,7 @@ const TOTAL_REQUESTS: usize = 240;
 const TENANT_COUNTS: [usize; 3] = [1, 4, 16];
 
 /// Boots a tenant-serving server with `n` identically seeded
-/// single-shard tenants (plus the mandatory default detector) and
+/// single-shard tenants (plus the mandatory default tenant) and
 /// returns the handle and the held-out events.
 fn boot(n: usize) -> (ServerHandle, Vec<Vec<f64>>) {
     let data = http(10_000, 1);
@@ -49,16 +49,6 @@ fn boot(n: usize) -> (ServerHandle, Vec<Vec<f64>>) {
         policy: RefitPolicy::Manual,
         ..StreamConfig::default()
     };
-    let detector = Arc::new(
-        StreamDetector::new(
-            stream.clone(),
-            McCatch::builder().build().expect("defaults are valid"),
-            Euclidean,
-            KdTreeBuilder::default(),
-            seed.clone(),
-        )
-        .expect("valid streaming config"),
-    );
     let tenants = TenantMap::new(
         McCatch::builder().build().expect("defaults are valid"),
         Euclidean,
@@ -75,17 +65,18 @@ fn boot(n: usize) -> (ServerHandle, Vec<Vec<f64>>) {
             .create_seeded(&boot_tenant_name(i), seed.clone())
             .expect("tenant create");
     }
-    let server = serve_tenants(
+    let default = tenants.create_default(seed).expect("seed fit");
+    let server = serve(
         "127.0.0.1:0",
         ServerConfig {
             workers: n + 1,
             queue: 64,
             ..ServerConfig::default()
         },
-        detector,
+        default,
+        Arc::new(tenants),
         ndjson::vector_parser(Some(3)),
         "kd",
-        Arc::new(tenants),
     )
     .expect("ephemeral bind");
     (server, events)

@@ -25,26 +25,27 @@
 //! run summary goes to stderr, keeping stdout machine-clean.
 //!
 //! `--serve ADDR` starts the HTTP serving tier (`mccatch::server`)
-//! instead: the events of `--input` (if given) seed the sliding window,
-//! and the process answers `POST /score` (NDJSON points in, one score
-//! per line out, batch-tagged with the model generation),
-//! `POST /ingest` (streamed events, per-event scores, drives the same
-//! `--refit-every`/`--drift` schedule), `POST /admin/refit`,
-//! `GET /healthz`, and a Prometheus `GET /metrics` until killed. The
-//! bound address is printed on stdout (`--serve 127.0.0.1:0` picks an
-//! ephemeral port and echoes it).
+//! instead: the events of `--input` (if given) seed the sliding window
+//! of the **default tenant**, and the process answers `POST /score`
+//! (NDJSON points in, one score per line out, batch-tagged with the
+//! model generation), `POST /ingest` (streamed events, per-event scores,
+//! drives the same `--refit-every`/`--drift` schedule),
+//! `POST /admin/refit`, `GET /healthz`, and a Prometheus `GET /metrics`
+//! until killed. The bound address is printed on stdout
+//! (`--serve 127.0.0.1:0` picks an ephemeral port and echoes it).
 //!
-//! Serve mode is always multi-tenant capable (`mccatch::tenant`): every
-//! endpoint is also reachable scoped to a named tenant as
-//! `/t/{tenant}/…` (or via the `X-Mccatch-Tenant` header), tenants are
-//! created and deleted over the wire with `PUT`/`DELETE
-//! /admin/tenants/{name}`, and `--tenants N` pre-creates N empty
-//! tenants (named `a`, `b`, …) at boot. `--shards K` gives every tenant
-//! K hash-routed shards — independent sliding windows fitted in
-//! parallel and served as a min-score ensemble — each with its own
-//! bounded admission queue, so one hot tenant (or shard) cannot starve
-//! the rest. The bare endpoints keep serving the default (unnamed)
-//! detector exactly as before.
+//! Every request is served by a tenant (`mccatch::tenant`). The bare
+//! endpoints serve the default tenant, which always has one shard — so
+//! it scores bit for bit like a single detector — and is never listed
+//! among the named tenants. Every endpoint is also reachable scoped to a
+//! named tenant as `/t/{tenant}/…` (or via the `X-Mccatch-Tenant`
+//! header), tenants are created and deleted over the wire with
+//! `PUT`/`DELETE /admin/tenants/{name}` (the name `default` is
+//! reserved), and `--tenants N` pre-creates N empty tenants (named `a`,
+//! `b`, …) at boot. `--shards K` gives every named tenant K hash-routed
+//! shards — independent sliding windows fitted in parallel and served as
+//! a min-score ensemble — each with its own bounded admission queue, so
+//! one hot tenant (or shard) cannot starve the rest.
 //!
 //! ```text
 //! USAGE:
@@ -61,17 +62,21 @@
 //!
 //! Persistence (`mccatch::persist`): `--save-model PATH` writes a
 //! versioned snapshot of the fitted model — after the fit in batch
-//! mode, as an end-of-input checkpoint with `--stream`, and as the
-//! `POST /admin/snapshot` target with `--serve`. `--load-model PATH`
-//! warm-starts from a snapshot instead of fitting: batch mode reports
-//! straight from it, `--stream`/`--serve` resume the saved generation
-//! and stream position without an initial refit. `--replay-log PATH`
-//! appends every ingested event as one NDJSON line; on a warm start the
-//! log is replayed to rebuild the exact sliding window. In serve mode
-//! both flags extend to named tenants: snapshots fan out as
-//! `{path}.{tenant}.{shard}` (+ a `.manifest` written last), replay
-//! logs as `{log}.{tenant}.{shard}`, and `--load-model` rediscovers and
-//! restores every tenant found on disk before the socket binds.
+//! mode, as an end-of-input checkpoint with `--stream`. `--load-model
+//! PATH` warm-starts from a snapshot instead of fitting: batch mode
+//! reports straight from any single snapshot file, `--stream` resumes
+//! the saved generation and stream position without an initial refit.
+//! `--replay-log PATH` appends every ingested event as one NDJSON line;
+//! on a warm start the log is replayed to rebuild the exact sliding
+//! window.
+//!
+//! In serve mode both paths are base paths of the tenant layout, the
+//! default tenant included: `POST /admin/snapshot` writes
+//! `{path}.{tenant}.{shard}` files plus a `{path}.{tenant}.manifest`
+//! written last (`{path}.default.0` + `{path}.default.manifest` for the
+//! bare endpoints), replay logs live at `{log}.{tenant}.{shard}`
+//! (`{log}.default.0`), and `--load-model` restores the default tenant
+//! and every named tenant found on disk before the socket binds.
 //!
 //! Invalid hyperparameters are reported as proper CLI errors (exit code
 //! 1), never panics: parsing builds a `McCatch` via the validating
@@ -83,10 +88,14 @@
 
 use mccatch::index::{BruteForceBuilder, KdTreeBuilder, SlimTreeBuilder, VpTreeBuilder};
 use mccatch::metrics::{Euclidean, Levenshtein, Metric};
+use mccatch::obs::json_escape;
 use mccatch::persist::{self, FsyncPolicy, PersistPoint, ReplayReader, ReplayWriter};
-use mccatch::server::{ndjson, AccessLog, LineParser, ServerConfig};
+use mccatch::server::ndjson::{self, json_f64};
+use mccatch::server::{AccessLog, LineParser, ServerConfig};
 use mccatch::stream::{RefitPolicy, ScoredEvent, StreamConfig, StreamDetector};
-use mccatch::tenant::{boot_tenant_name, ReplaySpec, RouteKey, TenantMap, TenantSpec};
+use mccatch::tenant::{
+    boot_tenant_name, shard_file_path, ReplaySpec, RouteKey, TenantMap, TenantSpec, DEFAULT_TENANT,
+};
 use mccatch::{McCatch, McCatchOutput, Model, Params};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::process::ExitCode;
@@ -120,8 +129,8 @@ struct Cli {
     drift: Option<f64>,
     drift_recent: usize,
     /// Write a versioned model snapshot here (batch: after the fit;
-    /// `--stream`: a checkpoint at end of input; `--serve`: the
-    /// `POST /admin/snapshot` target).
+    /// `--stream`: a checkpoint at end of input; `--serve`: the base
+    /// path of every tenant's `POST /admin/snapshot` set).
     save_model: Option<String>,
     /// Warm-start from a snapshot instead of fitting from input.
     load_model: Option<String>,
@@ -357,31 +366,33 @@ fn parse_cli() -> Result<Cli, String> {
                      events (unscored). One scored line per event on stdout (text or\n\
                      NDJSON); the run summary goes to stderr.\n\n\
                      --serve ADDR starts the HTTP scoring service instead: --input\n\
-                     seeds the window, then POST /score, POST /ingest,\n\
-                     POST /admin/refit, GET /healthz, and GET /metrics answer until\n\
-                     the process is killed. ADDR with port 0 picks an ephemeral port;\n\
-                     the bound address is echoed on stdout.\n\n\
-                     Serve mode is multi-tenant capable: every endpoint also answers\n\
-                     scoped to a named tenant at /t/{{tenant}}/... (or with the\n\
-                     X-Mccatch-Tenant header), and PUT/DELETE /admin/tenants/{{name}}\n\
-                     manage tenants over the wire. --tenants N pre-creates N empty\n\
+                     seeds the default tenant's window, then POST /score,\n\
+                     POST /ingest, POST /admin/refit, GET /healthz, and GET /metrics\n\
+                     answer until the process is killed. ADDR with port 0 picks an\n\
+                     ephemeral port; the bound address is echoed on stdout.\n\n\
+                     Every endpoint also answers scoped to a named tenant at\n\
+                     /t/{{tenant}}/... (or with the X-Mccatch-Tenant header), and\n\
+                     PUT/DELETE /admin/tenants/{{name}} manage tenants over the wire\n\
+                     (the name default is reserved). --tenants N pre-creates N empty\n\
                      tenants (named a, b, ...); --shards K (default 1) gives every\n\
-                     tenant K hash-routed shards fitted in parallel and served as a\n\
-                     min-score ensemble, each with a bounded admission queue.\n\n\
+                     named tenant K hash-routed shards fitted in parallel and served\n\
+                     as a min-score ensemble, each with a bounded admission queue.\n\
+                     The default tenant behind the bare endpoints always has 1 shard.\n\n\
                      --save-model PATH writes a versioned model snapshot (batch:\n\
-                     after the fit; --stream: a checkpoint at end of input; --serve:\n\
-                     the POST /admin/snapshot target). --load-model PATH warm-starts\n\
-                     from a snapshot instead of fitting (batch: reports straight\n\
-                     from it; --stream/--serve: resumes the saved generation and\n\
-                     stream position). --replay-log PATH appends every ingested\n\
-                     event as NDJSON; with --load-model it is replayed to rebuild\n\
-                     the exact sliding window. In serve mode both extend to named\n\
-                     tenants ({{path}}.{{tenant}}.{{shard}} snapshots + manifest,\n\
-                     {{log}}.{{tenant}}.{{shard}} replay logs): --load-model\n\
-                     rediscovers and restores every tenant on disk before binding.\n\
-                     --replay-fsync N (default 64) fsyncs\n\
-                     the log every N events — a hard kill loses at most N tail\n\
-                     events (0 = fsync every event).\n\n\
+                     after the fit; --stream: a checkpoint at end of input).\n\
+                     --load-model PATH warm-starts from a snapshot instead of fitting\n\
+                     (batch: reports straight from any single snapshot file;\n\
+                     --stream: resumes the saved generation and stream position).\n\
+                     --replay-log PATH appends every ingested event as NDJSON; with\n\
+                     --load-model it is replayed to rebuild the exact sliding window.\n\
+                     In serve mode both are base paths of the tenant layout:\n\
+                     POST /admin/snapshot writes {{path}}.{{tenant}}.{{shard}} files\n\
+                     plus a {{path}}.{{tenant}}.manifest ({{path}}.default.* for the\n\
+                     bare endpoints), replay logs live at {{log}}.{{tenant}}.{{shard}},\n\
+                     and --load-model restores the default tenant and every named\n\
+                     tenant on disk before binding. --replay-fsync N (default 64)\n\
+                     fsyncs the log every N events — a hard kill loses at most N\n\
+                     tail events (0 = fsync every event).\n\n\
                      Serve mode writes a structured NDJSON access log (one JSON\n\
                      object per request, with a request id echoed in\n\
                      X-Mccatch-Request-Id) to stderr; --access-log PATH appends it\n\
@@ -569,33 +580,6 @@ fn report_text(
     Ok(())
 }
 
-/// Escapes a string for inclusion in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders an `f64` as a JSON value: a number when finite, `null`
-/// otherwise (JSON has no Infinity/NaN literals).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
-    }
-}
-
 /// Streams the whole report as one JSON object. Hand-rolled on purpose:
 /// the workspace is dependency-free and the schema is small and stable.
 fn report_json(
@@ -739,42 +723,30 @@ fn stream_config(cli: &Cli) -> StreamConfig {
     }
 }
 
-/// Writes a snapshot atomically: a sibling `.tmp` file, fsynced, then
-/// renamed into place — a crash mid-save never clobbers the old one.
-fn save_snapshot_atomically(
-    path: &str,
-    write: impl FnOnce(&mut std::io::BufWriter<std::fs::File>) -> Result<u64, persist::PersistError>,
-) -> Result<u64, String> {
-    let tmp = format!("{path}.tmp");
-    let fail = |e: String| {
-        let _ = std::fs::remove_file(&tmp);
-        format!("{path}: {e}")
-    };
-    let file = std::fs::File::create(&tmp).map_err(|e| fail(e.to_string()))?;
-    let mut w = std::io::BufWriter::new(file);
-    let bytes = write(&mut w).map_err(|e| fail(e.to_string()))?;
-    let file = w.into_inner().map_err(|e| fail(e.to_string()))?;
-    file.sync_all().map_err(|e| fail(e.to_string()))?;
-    std::fs::rename(&tmp, path).map_err(|e| fail(e.to_string()))?;
-    Ok(bytes)
+/// A cold start (no `--load-model`) refuses a replay log that already
+/// has entries: its tail would not agree with the fresh window, so a
+/// later restore would rebuild the wrong state.
+fn refuse_stale_log(path: &std::path::Path) -> Result<(), String> {
+    let has_entries = std::fs::metadata(path)
+        .map(|m| m.len() > 0)
+        .unwrap_or(false);
+    if has_entries {
+        return Err(format!(
+            "replay log {} already has entries; pass --load-model to continue it, \
+             or delete it to start fresh",
+            path.display()
+        ));
+    }
+    Ok(())
 }
 
-/// Opens `--replay-log` for appending. A cold start (no `--load-model`)
-/// refuses a log that already has entries: its tail would not agree
-/// with the fresh window, so a later restore would rebuild the wrong
-/// state.
+/// Opens `--replay-log` for appending (see [`refuse_stale_log`]).
 fn open_replay_writer(cli: &Cli) -> Result<Option<ReplayWriter>, String> {
     let Some(path) = &cli.replay_log else {
         return Ok(None);
     };
-    let has_entries = std::fs::metadata(path)
-        .map(|m| m.len() > 0)
-        .unwrap_or(false);
-    if has_entries && cli.load_model.is_none() {
-        return Err(format!(
-            "replay log {path} already has entries; pass --load-model to continue it, \
-             or delete it to start fresh"
-        ));
+    if cli.load_model.is_none() {
+        refuse_stale_log(path.as_ref())?;
     }
     ReplayWriter::open(path, FsyncPolicy::EveryN(cli.replay_fsync))
         .map(Some)
@@ -939,27 +911,32 @@ where
         stats.fit_distance_evals,
     );
     if let Some(path) = &cli.save_model {
-        let bytes = save_snapshot_atomically(path, |w| persist::checkpoint_stream(&stream, w))?;
-        eprintln!("# saved checkpoint: {path} ({bytes} bytes)");
+        // Published whole through `atomic_write`: a crash mid-save never
+        // clobbers the previous snapshot.
+        let mut snapshot = Vec::new();
+        persist::checkpoint_stream(&stream, &mut snapshot).map_err(|e| format!("{path}: {e}"))?;
+        persist::atomic_write(path.as_ref(), &snapshot).map_err(|e| format!("{path}: {e}"))?;
+        eprintln!("# saved checkpoint: {path} ({} bytes)", snapshot.len());
     }
     Ok(())
 }
 
-/// Drives the HTTP serving tier (`--serve ADDR`): seeds a sliding
-/// window with the events of `--input` (when given), starts
+/// Drives the HTTP serving tier (`--serve ADDR`): seeds the default
+/// tenant's window with the events of `--input` (when given) — or
+/// restores it with every named tenant from `--load-model` — starts
 /// `mccatch::server` over the chosen metric/index backend with the
 /// `--window`/`--refit-every`/`--drift*` schedule, prints the bound
 /// address on stdout (machine-readable — ask for port 0 and read it
 /// back), and blocks until the process is stopped.
 ///
-/// `parser_for` builds the NDJSON line parser once the seed is known,
-/// so csv mode can pin the expected dimensionality to the seeded data.
+/// `parser_for` builds the NDJSON line parser once the default window
+/// is known, so csv mode can pin the expected dimensionality to it.
 ///
-/// The server always mounts a tenant registry (`mccatch::tenant`), so
-/// `PUT /admin/tenants/{name}` works without any flag; `--tenants N`
-/// pre-creates `a`, `b`, … and `--shards K` sets the per-tenant shard
-/// count. Every tenant is stamped from the same `--window`/refit
-/// schedule as the default detector.
+/// Every tenant is stamped from one `TenantSpec`: `--shards K` shards
+/// per named tenant (the default tenant always has one), the shared
+/// stream schedule, and `{log}.{tenant}.{shard}` replay logs under
+/// `--replay-log`. `--tenants N` pre-creates `a`, `b`, … and
+/// `PUT /admin/tenants/{name}` creates more over the wire.
 fn run_serve<P, M, B>(
     cli: &Cli,
     detector: McCatch,
@@ -978,8 +955,6 @@ where
     let addr = cli.serve.as_deref().expect("run_serve requires --serve");
     let server_config = ServerConfig {
         snapshot_path: cli.save_model.clone().map(std::path::PathBuf::from),
-        replay_log: cli.replay_log.clone().map(std::path::PathBuf::from),
-        replay_fsync_every: cli.replay_fsync,
         // The CLI serves humans, so the access log defaults on (stderr,
         // where all run commentary already goes); embedded servers
         // default quiet.
@@ -994,14 +969,12 @@ where
         ..ServerConfig::default()
     };
     let tenants = TenantMap::new(
-        detector.clone(),
-        metric.clone(),
-        builder.clone(),
+        detector,
+        metric,
+        builder,
         TenantSpec {
             shards: cli.shards,
             stream: stream_config(cli),
-            // Named tenants keep their own `{log}.{tenant}.{shard}`
-            // replay logs next to the default-tenant log.
             replay: cli.replay_log.as_ref().map(|p| ReplaySpec {
                 base: std::path::PathBuf::from(p),
                 fsync: FsyncPolicy::EveryN(cli.replay_fsync),
@@ -1012,49 +985,65 @@ where
     .map_err(|e| e.to_string())?;
     // Warm restart first: rediscover every `{snap}.{tenant}.{shard}` set
     // on disk and re-register it (generation, seq, and window resumed),
-    // then pre-create only the boot tenants that were not restored.
-    if let Some(snap) = &cli.load_model {
-        for t in tenants
-            .restore_tenants(std::path::Path::new(snap))
-            .map_err(|e| e.to_string())?
-        {
-            eprintln!(
-                "# restored tenant {}: {} shards, {} replayed events, generation {}, seq {}",
-                t.name, t.stats.shards, t.stats.replayed_events, t.stats.generation, t.stats.seq
-            );
+    // restore the default tenant from its own 1-shard set, then
+    // pre-create only the boot tenants that were not restored.
+    let default = match &cli.load_model {
+        Some(snap) => {
+            let snap = std::path::Path::new(snap);
+            for t in tenants.restore_tenants(snap).map_err(|e| e.to_string())? {
+                eprintln!(
+                    "# restored tenant {}: {} shards, {} replayed events, generation {}, seq {}",
+                    t.name,
+                    t.stats.shards,
+                    t.stats.replayed_events,
+                    t.stats.generation,
+                    t.stats.seq
+                );
+            }
+            let default = tenants.restore_default(snap).map_err(|e| e.to_string())?;
+            if let Some(r) = default.restore_stats() {
+                eprintln!(
+                    "# warm start: default tenant from {}.default.*: {} replayed events, \
+                     generation {}, seq {}",
+                    snap.display(),
+                    r.replayed_events,
+                    r.generation,
+                    r.seq
+                );
+            }
+            default
         }
-    }
+        None => {
+            // Creating the default tenant restarts its log at the seed
+            // window, so a log a warm restart could resume is refused.
+            if let Some(log) = &cli.replay_log {
+                refuse_stale_log(&shard_file_path(log.as_ref(), DEFAULT_TENANT, 0))?;
+            }
+            let seed: Vec<P> = events.collect::<Result<_, _>>()?;
+            tenants.create_default(seed).map_err(|e| e.to_string())?
+        }
+    };
     for i in 0..cli.tenants {
         let name = boot_tenant_name(i);
         if tenants.get(&name).is_none() {
             tenants.create(&name).map_err(|e| e.to_string())?;
         }
     }
-    let stream = if let Some(snap) = &cli.load_model {
-        restore_detector(cli, stream_config(cli), metric, builder, snap)?
-    } else {
-        let seed: Vec<P> = events.collect::<Result<_, _>>()?;
-        let stream = StreamDetector::new(stream_config(cli), detector, metric, builder, seed)
-            .map_err(|e| e.to_string())?;
-        // Seed the log before the server takes over appending, so the
-        // log alone can rebuild the window (the CLI writer is dropped
-        // — flushed — before the server opens its own).
-        if let Some(mut w) = open_replay_writer(cli)? {
-            log_window(&mut w, &stream)?;
-        }
-        stream
-    };
-    // The parser pins to the live window (seeded or restored), so
+    // The parser pins to the default window (seeded or restored), so
     // wrong-arity lines degrade to per-line errors; an empty window
     // pins to the first accepted event instead.
-    let parser = parser_for(&stream.window_points());
-    let server = mccatch::server::serve_tenants(
+    let window = default
+        .shard_detector(0)
+        .expect("the default tenant has one shard")
+        .window_points();
+    let parser = parser_for(&window);
+    let server = mccatch::server::serve(
         addr,
         server_config,
-        Arc::new(stream),
+        default,
+        Arc::new(tenants),
         parser,
         index.name(),
-        Arc::new(tenants),
     )
     .map_err(|e| e.to_string())?;
     // The stdout line is the contract smoke gates and scripts parse;
@@ -1239,8 +1228,10 @@ fn run_batch_load(cli: &Cli, path: &str) -> Result<(), String> {
 fn save_batch_model<P: PersistPoint>(cli: &Cli, model: &dyn Model<P>) -> Result<(), String> {
     if let Some(path) = &cli.save_model {
         let seq = model.stats().num_points as u64;
-        let bytes = save_snapshot_atomically(path, |w| persist::save_model(model, 0, seq, w))?;
-        eprintln!("# saved model: {path} ({bytes} bytes)");
+        let mut snapshot = Vec::new();
+        persist::save_model(model, 0, seq, &mut snapshot).map_err(|e| format!("{path}: {e}"))?;
+        persist::atomic_write(path.as_ref(), &snapshot).map_err(|e| format!("{path}: {e}"))?;
+        eprintln!("# saved model: {path} ({} bytes)", snapshot.len());
     }
     Ok(())
 }
@@ -1597,6 +1588,7 @@ mod tests {
 
     #[test]
     fn json_escape_covers_specials() {
+        // Labels in the JSON report go through the shared escaper.
         assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
         assert_eq!(json_escape("tab\there"), "tab\\there");
         assert_eq!(json_escape("nl\nhere"), "nl\\nhere");
@@ -1610,5 +1602,18 @@ mod tests {
         assert_eq!(json_f64(0.0), "0");
         assert_eq!(json_f64(f64::INFINITY), "null");
         assert_eq!(json_f64(f64::NAN), "null");
+    }
+
+    #[test]
+    fn a_cold_start_refuses_only_a_log_with_entries() {
+        let log =
+            std::env::temp_dir().join(format!("mccatch-cli-{}.default.0", std::process::id()));
+        let _ = std::fs::remove_file(&log);
+        assert_eq!(refuse_stale_log(&log), Ok(()), "no log yet");
+        std::fs::write(&log, b"").unwrap();
+        assert_eq!(refuse_stale_log(&log), Ok(()), "an empty log");
+        std::fs::write(&log, b"{\"seq\":0,\"tick\":0,\"point\":[1.0]}\n").unwrap();
+        assert!(refuse_stale_log(&log).unwrap_err().contains("--load-model"));
+        let _ = std::fs::remove_file(&log);
     }
 }

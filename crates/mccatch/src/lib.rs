@@ -164,12 +164,13 @@ pub use mccatch_core::serve;
 /// swapping models atomically via [`serve::ModelStore`].
 pub use mccatch_stream as stream;
 
-/// The HTTP serving tier: [`server::serve`] fronts a shared
-/// [`stream::StreamDetector`] with a std-only multithreaded HTTP/1.1
-/// service — `POST /score` (batch scoring against one tagged model
-/// snapshot), `POST /ingest` (streamed events with per-event scores),
-/// `POST /admin/refit`, `GET /healthz`, and a Prometheus
-/// `GET /metrics` — with bounded-queue backpressure (`503` +
+/// The HTTP serving tier: [`server::serve`] fronts a default
+/// [`tenant::Tenant`] (one shard, behind the bare endpoints) and a
+/// [`tenant::TenantMap`] of named tenants with a std-only multithreaded
+/// HTTP/1.1 service — `POST /score` (batch scoring against one tagged
+/// model snapshot per shard), `POST /ingest` (streamed events with
+/// per-event scores), `POST /admin/refit`, `GET /healthz`, and a
+/// Prometheus `GET /metrics` — with bounded-queue backpressure (`503` +
 /// `Retry-After`) and graceful shutdown. The CLI wraps it as
 /// `mccatch --serve ADDR`.
 pub use mccatch_server as server;
@@ -181,9 +182,10 @@ pub use mccatch_server as server;
 /// one hot tenant can never starve the rest. A tenant fits its shards in
 /// parallel and serves the ensemble (a query's score is the min across
 /// shard models; one shard is bit-identical to a plain detector). The
-/// HTTP tier mounts a map with [`server::serve_tenants`]
-/// (`/t/{tenant}/…` routing plus the `/admin/tenants` lifecycle); the
-/// CLI wraps it as `--serve ADDR --tenants N --shards K`.
+/// HTTP tier mounts a map with [`server::serve`] (`/t/{tenant}/…`
+/// routing plus the `/admin/tenants` lifecycle, beside the 1-shard
+/// default tenant from [`tenant::TenantMap::create_default`] on the bare
+/// paths); the CLI wraps it as `--serve ADDR --tenants N --shards K`.
 pub use mccatch_tenant as tenant;
 
 /// Observability: the lock-free log₂-bucketed latency

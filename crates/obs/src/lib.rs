@@ -13,14 +13,13 @@
 //!   `_bucket`/`_sum`/`_count` text exposition. `mccatch-server` keeps
 //!   one per endpoint (and per tenant), plus per-NDJSON-line
 //!   histograms for `/score` and `/ingest`.
-//! * [`Span`] / [`Recorder`] — stage timing with a closed name
-//!   vocabulary ([`STAGES`]): fit pipeline stages in `mccatch-core`,
-//!   refit and swap latency in `mccatch-stream`, shard fan-out and
-//!   restore in `mccatch-tenant`, snapshot save/load in
-//!   `mccatch-persist`. Everything lands in the process-global
-//!   [`StageRecorder`] ([`global()`]), scraped by `/metrics` as
-//!   `mccatch_stage_duration_seconds`. [`RecorderOff`] is the no-op
-//!   path for embedders that want zero overhead.
+//! * [`Span`] / [`record_stage`] — stage timing with a closed name
+//!   vocabulary ([`STAGES`], declared once with its [`StageId`] enum):
+//!   fit pipeline stages in `mccatch-core`, refit and swap latency in
+//!   `mccatch-stream`, shard fan-out and restore in `mccatch-tenant`,
+//!   snapshot save/load in `mccatch-persist`. Everything lands in the
+//!   process-global [`StageRecorder`] ([`global()`]), scraped by
+//!   `/metrics` as `mccatch_stage_duration_seconds`.
 //! * [`Logger`] / [`Fields`] / [`Ring`] — a leveled structured logger
 //!   writing one JSON object per line (monotonic timestamps, process
 //!   sequence numbers) to stderr or a file, and the bounded
@@ -61,4 +60,4 @@ pub mod trace;
 
 pub use hist::{render_histogram, Histogram, HistogramSnapshot, BUCKETS, FIRST_POW, LAST_POW};
 pub use log::{json_escape, Fields, Level, Logger, Ring};
-pub use span::{global, record_stage, Recorder, RecorderOff, Span, StageId, StageRecorder, STAGES};
+pub use span::{global, record_stage, Span, StageId, StageRecorder, STAGES};

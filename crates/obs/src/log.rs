@@ -184,7 +184,11 @@ impl Logger {
     }
 }
 
-/// Escapes a string for inclusion inside a JSON string literal.
+/// Escapes a string for inclusion inside a JSON string literal: `"`,
+/// `\`, `\n`, `\r`, `\t` get their short escapes, other control
+/// characters become `\u00XX`, everything else passes through. This is
+/// the workspace's one JSON string escaper — the server's responses, the
+/// CLI's JSON report, and the replay log's string points all use it.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -346,9 +350,21 @@ mod tests {
 
     #[test]
     fn escaping_covers_quotes_backslashes_and_control_chars() {
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("a\nb\tc"), "a\\nb\\tc");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
+        // The one JSON string escaper of the workspace: log lines, trace
+        // exports, server responses, CLI reports and replay-log strings
+        // all render through it.
+        for (raw, escaped) in [
+            ("plain", "plain"),
+            ("a\"b\\c", "a\\\"b\\\\c"),
+            ("a\nb\tc", "a\\nb\\tc"),
+            ("cr\rhere", "cr\\rhere"),
+            ("\u{1}", "\\u0001"),
+            ("\u{1f}", "\\u001f"),
+            ("héllo 😀", "héllo 😀"),
+            ("", ""),
+        ] {
+            assert_eq!(json_escape(raw), escaped, "{raw:?}");
+        }
         let line = Logger::off().render(
             Level::Warn,
             "weird \"event\"",

@@ -11,147 +11,91 @@
 //!
 //! Recording sites that already measure a `Duration` call
 //! [`record_stage`] directly; sites that bracket a region use the
-//! [`Span`] guard, which records on drop. Both are no-ops in cost terms
-//! off the serving hot path, and the [`Recorder`] trait's
-//! [`RecorderOff`] implementation lets embedders stub timing out
-//! entirely.
+//! [`Span`] guard, which records on drop.
 
 use crate::hist::{Histogram, HistogramSnapshot};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-/// Every stage name the stack records, in exposition order.
-///
-/// * `fit_build` — reference-tree construction (`mccatch-core`).
-/// * `fit_counting` — neighbor counting over the radius grid.
-/// * `fit_plotting` — oracle-plot assembly and MDL plateau search.
-/// * `fit_gelling` — microcluster gelling (`spot_microclusters`).
-/// * `fit_scoring` — per-microcluster scoring.
-/// * `stream_refit` — a full background refit (`mccatch-stream`).
-/// * `stream_swap` — publishing the refit model into the store.
-/// * `tenant_fanout` — scatter/gather of a query across shards.
-/// * `tenant_restore` — rebuilding one tenant at warm restart.
-/// * `persist_save` — serializing a model snapshot.
-/// * `persist_load` — deserializing a model snapshot.
-pub const STAGES: &[&str] = &[
-    "fit_build",
-    "fit_counting",
-    "fit_plotting",
-    "fit_gelling",
-    "fit_scoring",
-    "stream_refit",
-    "stream_swap",
-    "tenant_fanout",
-    "tenant_restore",
-    "persist_save",
-    "persist_load",
-];
+/// Declares the stage vocabulary once: each `Variant = "name"` row
+/// becomes a [`StageId`] variant (its discriminant is the histogram
+/// index), a [`STAGES`] entry in the same position, and an arm of
+/// [`StageId::name`] and [`StageId::from_name`].
+macro_rules! stages {
+    ($($(#[$doc:meta])* $id:ident = $name:literal,)+) => {
+        /// Every stage name the stack records, in exposition order (the
+        /// [`StageId`] order).
+        pub const STAGES: &[&str] = &[$($name),+];
 
-/// The [`STAGES`] vocabulary as a compile-time enum: the discriminant
-/// *is* the histogram index, so hot recording sites resolve a stage to
-/// its slot with a jump table instead of a linear name scan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(usize)]
-pub enum StageId {
-    /// `fit_build` — reference-tree construction.
-    FitBuild = 0,
+        /// The [`STAGES`] vocabulary as a compile-time enum: the
+        /// discriminant *is* the histogram index, so hot recording sites
+        /// resolve a stage to its slot with a jump table instead of a
+        /// linear name scan.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        #[repr(usize)]
+        pub enum StageId {
+            $($(#[$doc])* $id,)+
+        }
+
+        impl StageId {
+            /// Every stage, in [`STAGES`] (exposition) order.
+            pub const ALL: [StageId; STAGES.len()] = [$(StageId::$id),+];
+
+            /// The exposition name, the same `&'static str` as the
+            /// matching [`STAGES`] entry.
+            pub const fn name(self) -> &'static str {
+                match self {
+                    $(StageId::$id => $name,)+
+                }
+            }
+
+            /// Resolves a stage name to its id — a compiler-generated
+            /// string match, not a linear scan. `None` for names outside
+            /// the closed vocabulary.
+            pub fn from_name(name: &str) -> Option<StageId> {
+                match name {
+                    $($name => Some(StageId::$id),)+
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+stages! {
+    /// `fit_build` — reference-tree construction (`mccatch-core`).
+    FitBuild = "fit_build",
     /// `fit_counting` — neighbor counting over the radius grid.
-    FitCounting = 1,
+    FitCounting = "fit_counting",
     /// `fit_plotting` — oracle-plot assembly and MDL plateau search.
-    FitPlotting = 2,
-    /// `fit_gelling` — microcluster gelling.
-    FitGelling = 3,
+    FitPlotting = "fit_plotting",
+    /// `fit_gelling` — microcluster gelling (`spot_microclusters`).
+    FitGelling = "fit_gelling",
     /// `fit_scoring` — per-microcluster scoring.
-    FitScoring = 4,
-    /// `stream_refit` — a full background refit.
-    StreamRefit = 5,
+    FitScoring = "fit_scoring",
+    /// `stream_refit` — a full background refit (`mccatch-stream`).
+    StreamRefit = "stream_refit",
     /// `stream_swap` — publishing the refit model into the store.
-    StreamSwap = 6,
+    StreamSwap = "stream_swap",
     /// `tenant_fanout` — scatter/gather of a query across shards.
-    TenantFanout = 7,
+    TenantFanout = "tenant_fanout",
     /// `tenant_restore` — rebuilding one tenant at warm restart.
-    TenantRestore = 8,
+    TenantRestore = "tenant_restore",
     /// `persist_save` — serializing a model snapshot.
-    PersistSave = 9,
+    PersistSave = "persist_save",
     /// `persist_load` — deserializing a model snapshot.
-    PersistLoad = 10,
+    PersistLoad = "persist_load",
 }
 
 impl StageId {
-    /// Every stage, in [`STAGES`] (exposition) order.
-    pub const ALL: [StageId; 11] = [
-        StageId::FitBuild,
-        StageId::FitCounting,
-        StageId::FitPlotting,
-        StageId::FitGelling,
-        StageId::FitScoring,
-        StageId::StreamRefit,
-        StageId::StreamSwap,
-        StageId::TenantFanout,
-        StageId::TenantRestore,
-        StageId::PersistSave,
-        StageId::PersistLoad,
-    ];
-
     /// This stage's index into [`STAGES`] and the recorder's
     /// histograms.
     pub const fn index(self) -> usize {
         self as usize
     }
-
-    /// The exposition name, the same `&'static str` as the matching
-    /// [`STAGES`] entry.
-    pub const fn name(self) -> &'static str {
-        STAGES[self as usize]
-    }
-
-    /// Resolves a stage name to its id — a compiler-generated string
-    /// match, not a linear scan. `None` for names outside the closed
-    /// vocabulary.
-    pub fn from_name(name: &str) -> Option<StageId> {
-        Some(match name {
-            "fit_build" => StageId::FitBuild,
-            "fit_counting" => StageId::FitCounting,
-            "fit_plotting" => StageId::FitPlotting,
-            "fit_gelling" => StageId::FitGelling,
-            "fit_scoring" => StageId::FitScoring,
-            "stream_refit" => StageId::StreamRefit,
-            "stream_swap" => StageId::StreamSwap,
-            "tenant_fanout" => StageId::TenantFanout,
-            "tenant_restore" => StageId::TenantRestore,
-            "persist_save" => StageId::PersistSave,
-            "persist_load" => StageId::PersistLoad,
-            _ => return None,
-        })
-    }
 }
 
-/// A sink for stage timings. The serving stack records through this
-/// trait so embedders can route timings elsewhere or disable them.
-pub trait Recorder: Send + Sync {
-    /// Records that `stage` (a [`STAGES`] member) took `elapsed`.
-    fn record_stage(&self, stage: &'static str, elapsed: Duration);
-
-    /// `false` when recording is a guaranteed no-op, letting callers
-    /// skip even the clock reads.
-    fn enabled(&self) -> bool {
-        true
-    }
-}
-
-/// The no-op recorder: timing disabled, zero cost.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct RecorderOff;
-
-impl Recorder for RecorderOff {
-    fn record_stage(&self, _stage: &'static str, _elapsed: Duration) {}
-
-    fn enabled(&self) -> bool {
-        false
-    }
-}
-
-/// A [`Recorder`] keeping one [`Histogram`] per [`STAGES`] entry.
+/// The stage-timing sink: one [`Histogram`] per [`STAGES`] entry.
 #[derive(Debug)]
 pub struct StageRecorder {
     hists: Vec<Histogram>,
@@ -179,20 +123,17 @@ impl StageRecorder {
             .map(|(s, h)| (*s, h.snapshot()))
             .collect()
     }
-}
 
-impl StageRecorder {
     /// Records into `stage`'s histogram by index — no name resolution.
     pub fn record_stage_id(&self, stage: StageId, elapsed: Duration) {
         self.hists[stage.index()].record(elapsed);
     }
-}
 
-impl Recorder for StageRecorder {
-    fn record_stage(&self, stage: &'static str, elapsed: Duration) {
-        // Name resolution is a compiler-generated string match
-        // (StageId::from_name), not a linear scan; unknown names are
-        // ignored so embedder-side recorders stay forgiving.
+    /// Records that `stage` (a [`STAGES`] member) took `elapsed`. Name
+    /// resolution is a compiler-generated string match
+    /// ([`StageId::from_name`]), not a linear scan; unknown names are
+    /// ignored.
+    pub fn record_stage(&self, stage: &str, elapsed: Duration) {
         if let Some(id) = StageId::from_name(stage) {
             self.record_stage_id(id, elapsed);
         }
@@ -325,12 +266,5 @@ mod tests {
     #[should_panic(expected = "not a STAGES member")]
     fn span_enter_rejects_typod_stage_names_in_debug_builds() {
         let _ = Span::enter("fit_buidl");
-    }
-
-    #[test]
-    fn recorder_off_is_disabled() {
-        assert!(!RecorderOff.enabled());
-        assert!(StageRecorder::new().enabled());
-        RecorderOff.record_stage("fit_build", Duration::from_secs(1));
     }
 }

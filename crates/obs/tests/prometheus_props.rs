@@ -246,8 +246,8 @@ use mccatch_core::McCatch;
 use mccatch_index::KdTreeBuilder;
 use mccatch_metric::Euclidean;
 use mccatch_server::client::{get, post, Connection};
-use mccatch_server::{ndjson, serve_tenants, ServerConfig, ServerHandle};
-use mccatch_stream::{RefitPolicy, StreamConfig, StreamDetector};
+use mccatch_server::{ndjson, serve, ServerConfig, ServerHandle};
+use mccatch_stream::{RefitPolicy, StreamConfig};
 use mccatch_tenant::{TenantMap, TenantSpec};
 use std::sync::Arc;
 
@@ -273,16 +273,6 @@ fn boot_server() -> (ServerHandle, Arc<VecTenants>) {
     let seed: Vec<Vec<f64>> = (0..100)
         .map(|i| vec![(i % 10) as f64, (i / 10) as f64])
         .collect();
-    let detector = Arc::new(
-        StreamDetector::new(
-            stream_config(),
-            McCatch::builder().build().unwrap(),
-            Euclidean,
-            KdTreeBuilder::default(),
-            seed,
-        )
-        .unwrap(),
-    );
     let map = Arc::new(
         TenantMap::new(
             McCatch::builder().build().unwrap(),
@@ -297,13 +287,13 @@ fn boot_server() -> (ServerHandle, Arc<VecTenants>) {
         )
         .unwrap(),
     );
-    let server = serve_tenants(
+    let server = serve(
         "127.0.0.1:0",
         ServerConfig::default(),
-        detector,
+        map.create_default(seed).unwrap(),
+        Arc::clone(&map),
         ndjson::vector_parser(Some(2)),
         "kd",
-        Arc::clone(&map),
     )
     .unwrap();
     (server, map)

@@ -27,6 +27,9 @@
 //! - the replay log: [`ReplayWriter`] / [`ReplayReader`], one NDJSON
 //!   line per accepted stream event, with a configurable
 //!   [`FsyncPolicy`] and a truncation-tolerant tail;
+//! - [`atomic_write`], the one tmp + fsync + rename + directory-fsync
+//!   file replace every snapshot, manifest, and log rotation goes
+//!   through;
 //! - warm-restart glue: [`save_store`] / [`load_store`] for the
 //!   serving [`ModelStore`](mccatch_core::ModelStore), and
 //!   [`checkpoint_stream`] / [`restore_stream`] for the streaming
@@ -62,6 +65,7 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod atomic;
 mod codec;
 mod error;
 mod point;
@@ -69,6 +73,7 @@ mod replay;
 mod restart;
 pub mod snapshot;
 
+pub use atomic::atomic_write;
 pub use codec::crc32;
 pub use error::PersistError;
 pub use point::PersistPoint;

@@ -60,6 +60,23 @@ impl ReplayWriter {
         })
     }
 
+    /// Atomically replaces the log at `path` with exactly `entries`
+    /// (`(seq, tick, point)` in order, via
+    /// [`atomic_write`](crate::atomic_write)) and opens it for appending.
+    /// A crash mid-rewrite leaves the old log intact.
+    pub fn rewrite<'a, P: PersistPoint + 'a>(
+        path: &Path,
+        entries: impl IntoIterator<Item = (u64, u64, &'a P)>,
+        policy: FsyncPolicy,
+    ) -> Result<Self, PersistError> {
+        let mut text = String::new();
+        for (seq, tick, point) in entries {
+            push_line(&mut text, seq, tick, point);
+        }
+        crate::atomic_write(path, text.as_bytes()).map_err(PersistError::Io)?;
+        Self::open(path, policy)
+    }
+
     /// Appends one accepted event and applies the fsync policy.
     pub fn append<P: PersistPoint>(
         &mut self,
@@ -68,9 +85,7 @@ impl ReplayWriter {
         point: &P,
     ) -> Result<(), PersistError> {
         let mut line = String::with_capacity(48);
-        line.push_str(&format!("{{\"seq\":{seq},\"tick\":{tick},\"point\":"));
-        point.write_json(&mut line);
-        line.push_str("}\n");
+        push_line(&mut line, seq, tick, point);
         self.file
             .write_all(line.as_bytes())
             .map_err(PersistError::Io)?;
@@ -90,6 +105,13 @@ impl ReplayWriter {
         self.pending = 0;
         Ok(())
     }
+}
+
+/// Appends one `{"seq":N,"tick":T,"point":<json>}` log line.
+fn push_line<P: PersistPoint>(out: &mut String, seq: u64, tick: u64, point: &P) {
+    out.push_str(&format!("{{\"seq\":{seq},\"tick\":{tick},\"point\":"));
+    point.write_json(out);
+    out.push_str("}\n");
 }
 
 impl Drop for ReplayWriter {

@@ -62,21 +62,16 @@ pub struct ServerConfig {
     /// Seconds advertised in the `Retry-After` header of backpressure
     /// `503` responses.
     pub retry_after_secs: u64,
-    /// Where `POST /admin/snapshot` persists the served model (written
-    /// atomically: a sibling `.tmp` file, fsynced, then renamed into
-    /// place). `None` (the default) answers the snapshot endpoints
-    /// `409`: persistence is opt-in.
+    /// The base path `POST /admin/snapshot` persists tenant snapshot
+    /// sets under: `{path}.{tenant}.{shard}` plus a
+    /// `{path}.{tenant}.manifest` written last — the default tenant
+    /// behind the bare endpoints as `{path}.default.0` +
+    /// `{path}.default.manifest`. Every file is written atomically
+    /// (`mccatch_persist::atomic_write`). `None` (the default) answers
+    /// the snapshot endpoints `409`: persistence is opt-in. Replay logs
+    /// are configured on the tenant map
+    /// ([`TenantSpec::replay`](mccatch_tenant::TenantSpec::replay)).
     pub snapshot_path: Option<PathBuf>,
-    /// Ingest replay log appended to by `POST /ingest` (one NDJSON line
-    /// per accepted event, fsynced every
-    /// [`replay_fsync_every`](Self::replay_fsync_every) events). On a
-    /// warm restart, replaying it rebuilds the exact sliding window —
-    /// see `mccatch_persist::restore_stream`. `None` (the default)
-    /// disables the log.
-    pub replay_log: Option<PathBuf>,
-    /// Fsync cadence of the replay log, in accepted events (`0` behaves
-    /// as `1`, i.e. fsync on every event).
-    pub replay_fsync_every: u64,
     /// Structured access-log destination (`--access-log` in the CLI).
     pub access_log: AccessLog,
     /// Requests at least this many milliseconds end to end are captured
@@ -114,8 +109,6 @@ impl Default for ServerConfig {
             read_timeout: Some(Duration::from_secs(5)),
             retry_after_secs: 1,
             snapshot_path: None,
-            replay_log: None,
-            replay_fsync_every: 64,
             access_log: AccessLog::Off,
             slow_request_ms: 500,
             slow_log_capacity: 128,

@@ -40,13 +40,6 @@ pub enum ServerError {
         /// The OS error message.
         message: String,
     },
-    /// Opening the configured ingest replay log for appending failed.
-    ReplayLog {
-        /// The configured log path.
-        path: String,
-        /// The underlying error message.
-        message: String,
-    },
     /// Opening the configured access-log file for appending failed.
     AccessLog {
         /// The configured log path.
@@ -76,9 +69,6 @@ impl std::fmt::Display for ServerError {
                 kind,
                 message,
             } => write!(f, "failed to bind {addr}: {message} ({kind:?})"),
-            Self::ReplayLog { path, message } => {
-                write!(f, "failed to open replay log {path}: {message}")
-            }
             Self::AccessLog { path, message } => {
                 write!(f, "failed to open access log {path}: {message}")
             }

@@ -3,21 +3,26 @@
 //! A dependency-free (std-only, like the rest of the workspace)
 //! multithreaded HTTP/1.1 service that turns the serving and streaming
 //! primitives — `ModelStore`'s atomic tagged snapshots and
-//! `StreamDetector`'s prequential ingest with background refit — into
-//! something a network client can actually call:
+//! `StreamDetector`'s prequential ingest with background refit, grouped
+//! into `mccatch_tenant::Tenant` shard sets — into something a network
+//! client can actually call. There is one serving path: the bare
+//! endpoints serve the **default tenant**, a 1-shard tenant held beside
+//! the named-tenant map (it scores bit for bit like a plain
+//! `StreamDetector`), and `/t/{tenant}/…` serves the named tenants
+//! through the same code:
 //!
 //! | Endpoint | Method | Meaning |
 //! |---|---|---|
 //! | `/score` | POST | NDJSON points in, one `{"score": …}` per line out, the whole batch scored against **one** tagged model snapshot (`X-Mccatch-Generation` response header) |
-//! | `/ingest` | POST | NDJSON events in, one scored-event object per line out; feeds the sliding window and drives the refit policy |
+//! | `/ingest` | POST | NDJSON events in, one scored-event object per line out; feeds the point's shard window through bounded admission (`TenantSpec::ingest_queue`; a saturated shard answers that line with an error object) and drives the refit policy; `X-Mccatch-Generation` is the tenant generation read after the batch |
 //! | `/admin/refit` | POST | Synchronous refit on the current window; answers the new generation |
-//! | `/admin/snapshot` | POST | Persists the served model to the configured `snapshot_path` (atomic tmp-then-rename); answers `{"generation", "seq", "bytes", "path"}`, or `409` when persistence is not configured |
-//! | `/admin/snapshot/info` | GET | Reads the snapshot header back (version, backend, points, generation) without loading the model; `404` until a snapshot exists |
+//! | `/admin/snapshot` | POST | Persists the tenant's snapshot set under the configured `snapshot_path` — `{path}.{tenant}.{shard}` files plus a `{path}.{tenant}.manifest` written last, `{path}.default.*` for the bare path — each via `mccatch_persist::atomic_write`; answers `{"generation", "seq", "bytes", "path"}` (`path` is the `{path}.{tenant}.*` pattern), or `409` when persistence is not configured |
+//! | `/admin/snapshot/info` | GET | Reads the header of shard 0's snapshot (`{path}.{tenant}.0`) back (version, backend, points, generation) without loading the model; `404` until a snapshot exists |
 //! | `/healthz` | GET | Liveness, with the served model generation and process uptime in a JSON body (probes can detect a wedged swap loop) |
-//! | `/metrics` | GET | Prometheus text exposition: request/error counters, queue depth, `StreamStats`, `ModelStats`, live per-backend distance evaluations, plus latency histograms — per-endpoint `mccatch_request_duration_seconds`, per-NDJSON-line `mccatch_line_duration_seconds`, and cross-layer `mccatch_stage_duration_seconds`; with tenancy enabled, `{tenant=…}`-labeled series and per-shard queue gauges |
-//! | `/t/{tenant}/score` … | POST/GET | Any of the five endpoints above, scoped to a named tenant ([`serve_tenants`]); equivalently, send `X-Mccatch-Tenant: {tenant}` on the bare path. Unknown tenant → `404`, invalid name → `400` |
-//! | `/admin/tenants` | GET | Lists live tenants |
-//! | `/admin/tenants/{name}` | PUT / DELETE | Creates (idempotently; the body is an optional NDJSON seed, fitted across the tenant's shards in parallel) or deletes a tenant |
+//! | `/metrics` | GET | Prometheus text exposition: request/error counters, queue depth, `StreamStats`, `ModelStats`, live per-backend distance evaluations, plus latency histograms — per-endpoint `mccatch_request_duration_seconds`, per-NDJSON-line `mccatch_line_duration_seconds`, and cross-layer `mccatch_stage_duration_seconds`; the default tenant's series are unlabeled, each named tenant adds `{tenant=…}`-labeled series and per-shard queue gauges |
+//! | `/t/{tenant}/score` … | POST/GET | Any of the five endpoints above, scoped to a named tenant; equivalently, send `X-Mccatch-Tenant: {tenant}` on the bare path. Unknown tenant → `404`, invalid name → `400` |
+//! | `/admin/tenants` | GET | Lists live named tenants (never the default tenant) |
+//! | `/admin/tenants/{name}` | PUT / DELETE | Creates (idempotently; the body is an optional NDJSON seed, fitted across the tenant's shards in parallel) or deletes a tenant; the name `default` is reserved (`400`) |
 //! | `/admin/debug/slow` | GET | The slow-request ring buffer: the access-log lines (NDJSON) of the most recent requests at or above `ServerConfig::slow_request_ms` |
 //!
 //! Malformed input degrades **per line**, not per batch: an unparsable
@@ -53,4 +58,4 @@ mod service;
 pub use config::{AccessLog, ServerConfig};
 pub use error::ServerError;
 pub use ndjson::LineParser;
-pub use server::{serve, serve_tenants, ServerHandle};
+pub use server::{serve, ServerHandle};

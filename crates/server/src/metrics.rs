@@ -208,23 +208,20 @@ impl TenantScrape {
 /// counters, the served model's summary, and the live per-backend
 /// distance-evaluation total.
 ///
-/// The default (unnamed) tenant's series stay **unlabeled** — exactly
-/// the single-tenant exposition — and each named tenant adds a
-/// `{tenant="…"}` series under the same family, so single-tenant
-/// deployments and their scrape rules are byte-compatible. `tenants`
-/// is `None` when multi-tenant serving is disabled (no tenant families
-/// are emitted at all).
+/// The default tenant's series (`service`) stay **unlabeled**, and each
+/// named tenant in `scrapes` adds a `{tenant="…"}` series under the same
+/// family, so single-tenant deployments and their scrape rules never
+/// see a label they did not ask for.
 pub(crate) fn render_prometheus(
     counters: &Counters,
     obs: &ServerObs,
     service: &dyn Service,
     index_label: &str,
     uptime: std::time::Duration,
-    tenants: Option<&[TenantScrape]>,
+    scrapes: &[TenantScrape],
 ) -> String {
     let stream = service.stream_stats();
     let model = service.model_stats();
-    let scrapes: &[TenantScrape] = tenants.unwrap_or(&[]);
     let mut out = String::with_capacity(4096);
     let mut metric = |name: &str, kind: &str, help: &str, series: &[(String, String)]| {
         out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
@@ -510,76 +507,74 @@ pub(crate) fn render_prometheus(
         &evals,
     );
 
-    if let Some(scrapes) = tenants {
-        metric(
-            "mccatch_tenants",
-            "gauge",
-            "Live tenants in the registry.",
-            &plain(scrapes.len().to_string()),
-        );
-        let (mut depth, mut capacity, mut rejected) = (Vec::new(), Vec::new(), Vec::new());
-        for t in scrapes {
-            for q in &t.queues {
-                let labels = format!(
-                    "{{tenant=\"{}\",shard=\"{}\"}}",
-                    prom_label_escape(&t.name),
-                    q.shard
-                );
-                depth.push((labels.clone(), q.depth.to_string()));
-                capacity.push((labels.clone(), q.capacity.to_string()));
-                rejected.push((labels, q.rejected.to_string()));
-            }
+    metric(
+        "mccatch_tenants",
+        "gauge",
+        "Live tenants in the registry.",
+        &plain(scrapes.len().to_string()),
+    );
+    let (mut depth, mut capacity, mut rejected) = (Vec::new(), Vec::new(), Vec::new());
+    for t in scrapes {
+        for q in &t.queues {
+            let labels = format!(
+                "{{tenant=\"{}\",shard=\"{}\"}}",
+                prom_label_escape(&t.name),
+                q.shard
+            );
+            depth.push((labels.clone(), q.depth.to_string()));
+            capacity.push((labels.clone(), q.capacity.to_string()));
+            rejected.push((labels, q.rejected.to_string()));
         }
-        metric(
-            "mccatch_tenant_shard_queue_depth",
-            "gauge",
-            "Ingest calls currently in flight per tenant shard (bounded admission).",
-            &depth,
-        );
-        metric(
-            "mccatch_tenant_shard_queue_capacity",
-            "gauge",
-            "Configured per-shard in-flight ingest bound.",
-            &capacity,
-        );
-        metric(
-            "mccatch_tenant_shard_ingest_rejected_total",
-            "counter",
-            "Ingest calls rejected with shard-saturated backpressure.",
-            &rejected,
-        );
-        // Per-tenant restore counters: 0 everywhere for a tenant that
-        // was created live, the recovered figures for one rebuilt from
-        // snapshots + replay logs at boot.
-        let (mut restored, mut replayed, mut restored_gen) = (Vec::new(), Vec::new(), Vec::new());
-        for t in scrapes {
-            let labels = tenant_label(&t.name);
-            let (shards, events, generation) = t.restore.map_or((0, 0, 0), |r| {
-                (r.shards as u64, r.replayed_events, r.generation)
-            });
-            restored.push((labels.clone(), shards.to_string()));
-            replayed.push((labels.clone(), events.to_string()));
-            restored_gen.push((labels, generation.to_string()));
-        }
-        metric(
-            "mccatch_tenant_restored_shards",
-            "gauge",
-            "Shard detectors this tenant rebuilt from snapshots at boot (0 = created live).",
-            &restored,
-        );
-        metric(
-            "mccatch_tenant_restore_replayed_events",
-            "counter",
-            "Replay-log events re-ingested to rebuild this tenant's windows at boot.",
-            &replayed,
-        );
-        metric(
-            "mccatch_tenant_restore_generation",
-            "gauge",
-            "The tenant generation resumed from its snapshot set at boot.",
-            &restored_gen,
-        );
     }
+    metric(
+        "mccatch_tenant_shard_queue_depth",
+        "gauge",
+        "Ingest calls currently in flight per tenant shard (bounded admission).",
+        &depth,
+    );
+    metric(
+        "mccatch_tenant_shard_queue_capacity",
+        "gauge",
+        "Configured per-shard in-flight ingest bound.",
+        &capacity,
+    );
+    metric(
+        "mccatch_tenant_shard_ingest_rejected_total",
+        "counter",
+        "Ingest calls rejected with shard-saturated backpressure.",
+        &rejected,
+    );
+    // Per-tenant restore counters: 0 everywhere for a tenant that
+    // was created live, the recovered figures for one rebuilt from
+    // snapshots + replay logs at boot.
+    let (mut restored, mut replayed, mut restored_gen) = (Vec::new(), Vec::new(), Vec::new());
+    for t in scrapes {
+        let labels = tenant_label(&t.name);
+        let (shards, events, generation) = t.restore.map_or((0, 0, 0), |r| {
+            (r.shards as u64, r.replayed_events, r.generation)
+        });
+        restored.push((labels.clone(), shards.to_string()));
+        replayed.push((labels.clone(), events.to_string()));
+        restored_gen.push((labels, generation.to_string()));
+    }
+    metric(
+        "mccatch_tenant_restored_shards",
+        "gauge",
+        "Shard detectors this tenant rebuilt from snapshots at boot (0 = created live).",
+        &restored,
+    );
+    metric(
+        "mccatch_tenant_restore_replayed_events",
+        "counter",
+        "Replay-log events re-ingested to rebuild this tenant's windows at boot.",
+        &replayed,
+    );
+    metric(
+        "mccatch_tenant_restore_generation",
+        "gauge",
+        "The tenant generation resumed from its snapshot set at boot.",
+        &restored_gen,
+    );
 
     // Latency histograms. The default tenant's request series carry
     // only the `endpoint` label — the same unlabeled-tenant convention

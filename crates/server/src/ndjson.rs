@@ -158,23 +158,6 @@ pub fn json_f64(v: f64) -> String {
     }
 }
 
-/// Escapes a string for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Splits a request body into its non-blank NDJSON lines, yielding the
 /// 1-based line number alongside the raw bytes (the number appears in
 /// per-line error objects so clients can pinpoint the offender).

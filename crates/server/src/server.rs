@@ -20,19 +20,18 @@ use crate::config::ServerConfig;
 use crate::error::ServerError;
 use crate::http::{self, Request, Response};
 use crate::metrics::{render_prometheus, Counters, Endpoint, TenantScrape};
-use crate::ndjson::{json_escape, LineParser};
+use crate::ndjson::LineParser;
 use crate::obs::{request_id, ServerObs};
 use crate::service::{
-    MapRegistry, NdjsonOutcome, Service, SnapshotInfoOutcome, SnapshotOutcome, StreamService,
-    TenantRegistry,
+    MapRegistry, NdjsonOutcome, Service, SnapshotInfoOutcome, SnapshotOutcome, TenantRegistry,
+    TenantService,
 };
 use mccatch_index::IndexBuilder;
 use mccatch_metric::Metric;
 use mccatch_obs::trace;
-use mccatch_obs::{Fields, Histogram, Level};
-use mccatch_persist::{FsyncPolicy, PersistPoint, ReplayWriter};
-use mccatch_stream::StreamDetector;
-use mccatch_tenant::{valid_tenant_name, RouteKey, TenantMap};
+use mccatch_obs::{json_escape, Fields, Histogram, Level};
+use mccatch_persist::PersistPoint;
+use mccatch_tenant::{valid_tenant_name, RouteKey, Tenant, TenantMap};
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -44,12 +43,10 @@ use std::time::{Duration, Instant};
 /// Everything the acceptor and workers share.
 struct Shared {
     config: ServerConfig,
-    /// The default (unnamed) tenant: bare `/score`, `/ingest`, … serve
-    /// it, exactly as before multi-tenancy existed.
+    /// The default tenant: bare `/score`, `/ingest`, … serve it.
     service: Arc<dyn Service>,
-    /// Named tenants, when started via [`serve_tenants`]; `None` makes
-    /// every `/t/{tenant}/…` and `/admin/tenants` route answer `404`.
-    registry: Option<Arc<dyn TenantRegistry>>,
+    /// The named tenants behind `/t/{tenant}/…` and `/admin/tenants`.
+    registry: Arc<dyn TenantRegistry>,
     counters: Counters,
     /// Latency histograms, the access logger, and the slow-request
     /// ring.
@@ -141,42 +138,63 @@ impl std::fmt::Debug for ServerHandle {
     }
 }
 
-/// Starts the HTTP scoring service over a shared [`StreamDetector`].
+/// Starts the HTTP scoring service.
 ///
 /// Validates `config`, binds `addr` (use port `0` for an ephemeral
 /// port), spawns the acceptor and `config.workers` worker threads, and
-/// returns the running [`ServerHandle`]. `parser` decodes one NDJSON
-/// request line into a point (see [`crate::ndjson::parse_vector_line`]
-/// and [`crate::ndjson::parse_string_line`]); `index_label` names the
-/// index backend in the `/metrics` distance-evaluation series.
+/// returns the running [`ServerHandle`]. Every request reaches a
+/// [`Tenant`]:
 ///
-/// The detector is shared, not consumed: the process can keep calling
-/// `ingest`/`refit_now`/`stats` on its own clone of the `Arc` while the
-/// server runs — both go through the same `ModelStore` snapshots.
+/// * `default` serves the bare endpoints (`/score`, `/ingest`, …). Build
+///   it with [`TenantMap::create_default`] or warm-restart it with
+///   [`TenantMap::restore_default`]; either way it has one shard, so it
+///   scores bit for bit like a plain `StreamDetector`. It is held beside
+///   `tenants`, never in it: it does not show in `GET /admin/tenants`,
+///   the `mccatch_tenants` gauge, or the `{tenant="…"}` series — its
+///   series on `/metrics` are the unlabeled ones.
+/// * `tenants` serves `/t/{tenant}/…` (or the `X-Mccatch-Tenant`
+///   header) and the `/admin/tenants` lifecycle endpoints. To warm
+///   restart the fleet, call [`TenantMap::restore_tenants`] before this
+///   function binds the socket.
+///
+/// `POST /admin/snapshot` writes each tenant's set under
+/// `ServerConfig::snapshot_path` as `{path}.{tenant}.{shard}` plus a
+/// `{path}.{tenant}.manifest` written last (`{path}.default.*` for the
+/// default tenant); replay logs follow the map's
+/// [`TenantSpec::replay`](mccatch_tenant::TenantSpec::replay). `parser`
+/// decodes one NDJSON request line into a point (see
+/// [`crate::ndjson::vector_parser`] and
+/// [`crate::ndjson::parse_string_line`]); `index_label` names the index
+/// backend in the `/metrics` distance-evaluation series.
+///
+/// Both handles are shared, not consumed: the process can keep calling
+/// `ingest`/`refit_now` on its own clones of the `Arc`s while the server
+/// runs.
 ///
 /// ```no_run
 /// use mccatch_core::McCatch;
 /// use mccatch_index::KdTreeBuilder;
 /// use mccatch_metric::Euclidean;
 /// use mccatch_server::{ndjson, serve, ServerConfig};
-/// use mccatch_stream::{StreamConfig, StreamDetector};
+/// use mccatch_tenant::{TenantMap, TenantSpec};
 /// use std::sync::Arc;
 ///
 /// let seed: Vec<Vec<f64>> = (0..100)
 ///     .map(|i| vec![(i % 10) as f64, (i / 10) as f64])
 ///     .collect();
-/// let detector = Arc::new(StreamDetector::new(
-///     StreamConfig::default(),
+/// let tenants = Arc::new(TenantMap::new(
 ///     McCatch::builder().build()?,
 ///     Euclidean,
 ///     KdTreeBuilder::default(),
-///     seed,
+///     TenantSpec::default(),
 /// )?);
+/// let default = tenants.create_default(seed)?;
 /// let server = serve(
 ///     "127.0.0.1:0",
 ///     ServerConfig::default(),
-///     detector,
-///     Arc::new(ndjson::parse_vector_line),
+///     default,
+///     tenants,
+///     ndjson::vector_parser(Some(2)),
 ///     "kd",
 /// )?;
 /// println!("listening on http://{}", server.local_addr());
@@ -186,45 +204,10 @@ impl std::fmt::Debug for ServerHandle {
 pub fn serve<P, M, B>(
     addr: impl ToSocketAddrs + std::fmt::Debug,
     config: ServerConfig,
-    detector: Arc<StreamDetector<P, M, B>>,
-    parser: LineParser<P>,
-    index_label: impl Into<String>,
-) -> Result<ServerHandle, ServerError>
-where
-    P: PersistPoint + Clone + Send + Sync + 'static,
-    M: Metric<P> + Clone + 'static,
-    B: IndexBuilder<P, M> + Clone + Send + Sync + 'static,
-    B::Index: Send + Sync + 'static,
-{
-    serve_with_registry(addr, config, detector, parser, index_label, None)
-}
-
-/// Starts the HTTP scoring service with **multi-tenant serving** on top
-/// of the default detector: everything [`serve`] does, plus a
-/// [`TenantMap`] registry behind `/t/{tenant}/…` routing (or the
-/// `X-Mccatch-Tenant` header) and the `/admin/tenants` lifecycle
-/// endpoints.
-///
-/// The bare endpoints (`/score`, `/ingest`, …) keep serving `detector`
-/// — the default, unnamed tenant — byte-for-byte as before; named
-/// tenants are fully isolated shard sets created either up front (via
-/// `tenants`) or dynamically with `PUT /admin/tenants/{name}`.
-/// Per-tenant snapshots are written next to
-/// `ServerConfig::snapshot_path` as `{path}.{tenant}.{shard}` (plus a
-/// `{path}.{tenant}.manifest` written last). The `ServerConfig`
-/// replay log covers the default tenant; named tenants keep their own
-/// `{log}.{tenant}.{shard}` logs when the map's
-/// [`TenantSpec::replay`](mccatch_tenant::TenantSpec) is set. To warm
-/// restart the whole fleet, call
-/// [`TenantMap::restore_tenants`](mccatch_tenant::TenantMap::restore_tenants)
-/// on `tenants` *before* this function binds the socket.
-pub fn serve_tenants<P, M, B>(
-    addr: impl ToSocketAddrs + std::fmt::Debug,
-    config: ServerConfig,
-    detector: Arc<StreamDetector<P, M, B>>,
-    parser: LineParser<P>,
-    index_label: impl Into<String>,
+    default: Arc<Tenant<P, M, B>>,
     tenants: Arc<TenantMap<P, M, B>>,
+    parser: LineParser<P>,
+    index_label: impl Into<String>,
 ) -> Result<ServerHandle, ServerError>
 where
     P: PersistPoint + RouteKey + Clone + Send + Sync + 'static,
@@ -232,42 +215,8 @@ where
     B: IndexBuilder<P, M> + Clone + Send + Sync + 'static,
     B::Index: Send + Sync + 'static,
 {
-    let registry: Arc<dyn TenantRegistry> = Arc::new(MapRegistry::new(
-        tenants,
-        Arc::clone(&parser),
-        config.snapshot_path.clone(),
-    ));
-    serve_with_registry(addr, config, detector, parser, index_label, Some(registry))
-}
-
-/// The shared boot path of [`serve`] and [`serve_tenants`].
-fn serve_with_registry<P, M, B>(
-    addr: impl ToSocketAddrs + std::fmt::Debug,
-    config: ServerConfig,
-    detector: Arc<StreamDetector<P, M, B>>,
-    parser: LineParser<P>,
-    index_label: impl Into<String>,
-    registry: Option<Arc<dyn TenantRegistry>>,
-) -> Result<ServerHandle, ServerError>
-where
-    P: PersistPoint + Clone + Send + Sync + 'static,
-    M: Metric<P> + Clone + 'static,
-    B: IndexBuilder<P, M> + Clone + Send + Sync + 'static,
-    B::Index: Send + Sync + 'static,
-{
     config.validate()?;
     let obs = ServerObs::open(&config)?;
-    let replay = match &config.replay_log {
-        None => None,
-        Some(path) => Some(
-            ReplayWriter::open(path, FsyncPolicy::EveryN(config.replay_fsync_every)).map_err(
-                |e| ServerError::ReplayLog {
-                    path: path.display().to_string(),
-                    message: e.to_string(),
-                },
-            )?,
-        ),
-    };
     let bind_err = |e: &std::io::Error| ServerError::Bind {
         addr: format!("{addr:?}"),
         kind: e.kind(),
@@ -277,13 +226,16 @@ where
     let local = listener.local_addr().map_err(|e| bind_err(&e))?;
 
     let shared = Arc::new(Shared {
-        service: Arc::new(StreamService::new(
-            detector,
+        service: Arc::new(TenantService::new(
+            default,
+            Arc::clone(&parser),
+            config.snapshot_path.clone(),
+        )),
+        registry: Arc::new(MapRegistry::new(
+            tenants,
             parser,
             config.snapshot_path.clone(),
-            replay,
         )),
-        registry,
         index_label: index_label.into(),
         counters: Counters::default(),
         obs,
@@ -670,8 +622,6 @@ fn invalid_name_response(name: &str) -> Response {
     )
 }
 
-const NO_TENANCY: &str = "multi-tenant serving is not enabled on this server\n";
-
 /// The `/admin/tenants` lifecycle routes: `GET /admin/tenants` lists,
 /// `PUT /admin/tenants/{name}` creates (idempotently; the body is an
 /// optional NDJSON seed), `DELETE /admin/tenants/{name}` unlinks.
@@ -683,9 +633,7 @@ fn route_tenants_admin(shared: &Shared, req: &Request) -> Response {
             .with_header("allow", allow.to_owned());
     }
     shared.counters.count_request(Endpoint::Tenants);
-    let Some(registry) = &shared.registry else {
-        return Response::text(404, NO_TENANCY);
-    };
+    let registry = &shared.registry;
     if list {
         let names = registry
             .names()
@@ -786,10 +734,7 @@ fn route(shared: &Shared, req: &Request) -> (Response, Option<Endpoint>, Option<
             if !valid_tenant_name(name) {
                 return (invalid_name_response(name), None, tenant_owned);
             }
-            let Some(registry) = &shared.registry else {
-                return (Response::text(404, NO_TENANCY), None, tenant_owned);
-            };
-            match registry.get(name) {
+            match shared.registry.get(name) {
                 Some(svc) => svc,
                 None => {
                     let resp = Response::text(404, format!("no such tenant: {name}\n"));
@@ -846,12 +791,12 @@ fn route(shared: &Shared, req: &Request) -> (Response, Option<Endpoint>, Option<
             )
         }
         Endpoint::Metrics => {
-            let scrapes: Option<Vec<TenantScrape>> = shared.registry.as_ref().map(|r| {
-                r.names()
-                    .into_iter()
-                    .filter_map(|n| r.get(&n).map(|s| TenantScrape::collect(n, &*s)))
-                    .collect()
-            });
+            let r = &shared.registry;
+            let scrapes: Vec<TenantScrape> = r
+                .names()
+                .into_iter()
+                .filter_map(|n| r.get(&n).map(|s| TenantScrape::collect(n, &*s)))
+                .collect();
             Response::text(
                 200,
                 render_prometheus(
@@ -860,7 +805,7 @@ fn route(shared: &Shared, req: &Request) -> (Response, Option<Endpoint>, Option<
                     &*shared.service,
                     &shared.index_label,
                     shared.start.elapsed(),
-                    scrapes.as_deref(),
+                    &scrapes,
                 ),
             )
         }
@@ -885,7 +830,7 @@ fn route(shared: &Shared, req: &Request) -> (Response, Option<Endpoint>, Option<
         Endpoint::Ingest => {
             // An empty body is a complete, zero-line batch: short-circuit
             // to an empty 200 that still carries the current generation,
-            // without touching the detector or the replay log.
+            // without touching the shards or their replay logs.
             if crate::ndjson::body_lines(&req.body).next().is_none() {
                 Response::ndjson(200, String::new())
                     .with_header("x-mccatch-generation", service.generation().to_string())

@@ -1,23 +1,28 @@
 //! The bridge between the HTTP layer and the serving primitives: a
-//! type-erased [`Service`] over `StreamDetector` + `ModelStore`.
+//! type-erased [`Service`] over one [`Tenant`]'s shard set.
 //!
 //! The HTTP machinery (parser, pool, routing) is deliberately
 //! non-generic — it talks to `dyn Service`, the same erasure move
-//! `Arc<dyn Model<P>>` makes one layer down. [`StreamService`] is the
-//! one implementation: it scores batches against a single tagged model
-//! snapshot, feeds ingests through the stream detector (driving the
-//! drift/every-N refit policies exactly as a library caller would), and
-//! exposes the counters the `/metrics` endpoint renders.
+//! `Arc<dyn Model<P>>` makes one layer down. [`TenantService`] is the
+//! one implementation, for the default tenant behind the bare endpoints
+//! and for every named tenant alike: it scores batches against one
+//! tagged snapshot per shard, routes ingests through the tenant's
+//! bounded per-shard admission (driving the drift/every-N refit
+//! policies exactly as a library caller would), persists the tenant's
+//! snapshot set, and exposes the counters `/metrics` renders.
 
-use crate::ndjson::{body_lines, json_escape, json_f64, LineParser};
-use mccatch_core::{Model, ModelStats};
+use crate::ndjson::{body_lines, json_f64, LineParser};
+use mccatch_core::ModelStats;
 use mccatch_index::IndexBuilder;
 use mccatch_metric::Metric;
-use mccatch_persist::{save_model, PersistPoint, ReplayWriter};
-use mccatch_stream::{StreamDetector, StreamStats};
-use mccatch_tenant::{RouteKey, ShardQueue, Tenant, TenantError, TenantMap, TenantRestoreStats};
+use mccatch_obs::json_escape;
+use mccatch_persist::PersistPoint;
+use mccatch_stream::StreamStats;
+use mccatch_tenant::{
+    shard_file_path, RouteKey, ShardQueue, Tenant, TenantError, TenantMap, TenantRestoreStats,
+};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Result of processing one NDJSON request body: the response body
 /// (one JSON object per input line) plus the generation tag and the
@@ -74,16 +79,16 @@ pub(crate) enum SnapshotInfoOutcome {
 /// point, metric, and index types.
 pub(crate) trait Service: Send + Sync {
     /// `POST /score`: scores every line against **one** tagged model
-    /// snapshot; the window is untouched.
+    /// snapshot per shard; the windows are untouched.
     fn score_ndjson(&self, body: &[u8]) -> NdjsonOutcome;
-    /// `POST /ingest`: feeds every line through the stream detector
+    /// `POST /ingest`: routes every line to its shard's stream detector
     /// (prequential scoring + window push + refit policy).
     fn ingest_ndjson(&self, body: &[u8]) -> NdjsonOutcome;
     /// `POST /admin/refit`: synchronous refit, returning the new
     /// generation.
     fn refit_now(&self) -> Result<u64, String>;
-    /// Current served-model generation (for a tenant: the sum of its
-    /// shard generations — monotone either way).
+    /// Current served-model generation: the sum of the shard
+    /// generations (monotone).
     fn generation(&self) -> u64;
     /// Stream counters for `/metrics`.
     fn stream_stats(&self) -> StreamStats;
@@ -92,52 +97,18 @@ pub(crate) trait Service: Send + Sync {
     /// Live distance evaluations of the served model's reference tree
     /// (fit **plus** serving queries so far) for `/metrics`.
     fn live_distance_evals(&self) -> u64;
-    /// `POST /admin/snapshot`: persists the served model to the
-    /// configured path.
+    /// `POST /admin/snapshot`: persists the tenant's snapshot set under
+    /// the configured base path.
     fn save_snapshot(&self) -> SnapshotOutcome;
     /// `GET /admin/snapshot/info`: header metadata of the snapshot on
     /// disk.
     fn snapshot_info(&self) -> SnapshotInfoOutcome;
-    /// Per-shard ingest-admission gauges for `/metrics` — empty for
-    /// backends without bounded shard admission (the default service).
-    fn shard_queues(&self) -> Vec<ShardQueue> {
-        Vec::new()
-    }
-    /// What this backend's warm restart recovered, for the per-tenant
-    /// restore counters on `/metrics` — `None` for backends that were
-    /// not restored from disk (the default service, live-created
-    /// tenants).
-    fn restore_stats(&self) -> Option<TenantRestoreStats> {
-        None
-    }
-}
-
-/// The [`Service`] over a shared [`StreamDetector`].
-pub(crate) struct StreamService<P, M, B> {
-    detector: Arc<StreamDetector<P, M, B>>,
-    parse: LineParser<P>,
-    snapshot_path: Option<PathBuf>,
-    /// Ingest replay log, appended under a mutex: events from
-    /// concurrent ingest requests interleave whole-line, matching the
-    /// order their window pushes happened to land in closely enough for
-    /// recovery (ticks are non-decreasing either way).
-    replay: Option<Mutex<ReplayWriter>>,
-}
-
-impl<P, M, B> StreamService<P, M, B> {
-    pub fn new(
-        detector: Arc<StreamDetector<P, M, B>>,
-        parse: LineParser<P>,
-        snapshot_path: Option<PathBuf>,
-        replay: Option<ReplayWriter>,
-    ) -> Self {
-        Self {
-            detector,
-            parse,
-            snapshot_path,
-            replay: replay.map(Mutex::new),
-        }
-    }
+    /// Per-shard ingest-admission gauges for `/metrics`.
+    fn shard_queues(&self) -> Vec<ShardQueue>;
+    /// What this tenant's warm restart recovered, for the per-tenant
+    /// restore counters on `/metrics` — `None` for a tenant created
+    /// live rather than restored from disk.
+    fn restore_stats(&self) -> Option<TenantRestoreStats>;
 }
 
 /// Renders one per-line error object.
@@ -148,40 +119,8 @@ fn error_line(line_no: usize, message: &str) -> String {
     )
 }
 
-/// Atomic snapshot publish shared by the single-store and per-tenant
-/// paths: write a sibling `.tmp` file, fsync, then rename into place —
-/// a crash mid-write never leaves a torn snapshot at `path`. The temp
-/// name is appended (not `with_extension`) so sibling shard files like
-/// `snap.bin.acme.0` and `snap.bin.acme.1` get distinct temp files.
-fn write_snapshot_atomic<P: PersistPoint>(
-    path: &Path,
-    model: &dyn Model<P>,
-    generation: u64,
-    seq: u64,
-) -> Result<u64, String> {
-    let tmp = {
-        let mut os = path.as_os_str().to_owned();
-        os.push(".tmp");
-        PathBuf::from(os)
-    };
-    let write = || -> Result<u64, String> {
-        let file = std::fs::File::create(&tmp).map_err(|e| e.to_string())?;
-        let mut w = std::io::BufWriter::new(file);
-        let bytes = save_model(model, generation, seq, &mut w).map_err(|e| e.to_string())?;
-        w.into_inner()
-            .map_err(|e| e.to_string())?
-            .sync_all()
-            .map_err(|e| e.to_string())?;
-        std::fs::rename(&tmp, path).map_err(|e| e.to_string())?;
-        Ok(bytes)
-    };
-    write().inspect_err(|_| {
-        let _ = std::fs::remove_file(&tmp);
-    })
-}
-
 /// Reads the snapshot header at `path` into the `/admin/snapshot/info`
-/// outcome, shared by the single-store and per-tenant paths.
+/// outcome.
 fn snapshot_info_at(path: &Path) -> SnapshotInfoOutcome {
     let file = match std::fs::File::open(path) {
         Ok(f) => f,
@@ -208,171 +147,6 @@ fn snapshot_info_at(path: &Path) -> SnapshotInfoOutcome {
             json_escape(&path.display().to_string()),
         )),
         Err(e) => SnapshotInfoOutcome::Failed(e.to_string()),
-    }
-}
-
-/// The on-disk location of one tenant shard's snapshot: the configured
-/// base path with `.{tenant}.{shard}` appended (tenant names are
-/// `[a-zA-Z0-9_-]{1,64}`, so the suffix can never traverse paths).
-/// The layout is owned by the tenant crate — save and restore share it.
-pub(crate) fn tenant_snapshot_path(base: &Path, tenant: &str, shard: usize) -> PathBuf {
-    mccatch_tenant::shard_file_path(base, tenant, shard)
-}
-
-impl<P, M, B> Service for StreamService<P, M, B>
-where
-    P: PersistPoint + Clone + Send + Sync + 'static,
-    M: Metric<P> + Clone + 'static,
-    B: IndexBuilder<P, M> + Clone + Send + Sync + 'static,
-    B::Index: Send + Sync + 'static,
-{
-    fn score_ndjson(&self, body: &[u8]) -> NdjsonOutcome {
-        // One atomic (model, generation) pair for the whole batch: the
-        // response is attributably scored against a single model even
-        // if a refit swap lands mid-request, and the scores are
-        // bit-identical to `ModelStore::score_batch` on that snapshot
-        // (it is the same `Model::score_batch` call).
-        let (model, generation) = self.detector.store().snapshot_tagged();
-        // Parsed points move straight into the scoring batch; `parsed`
-        // only remembers per-line ok/error so results interleave back
-        // in position without a second copy of every vector.
-        let mut parsed: Vec<Result<(), (usize, String)>> = Vec::new();
-        let mut points: Vec<P> = Vec::new();
-        for (line_no, raw) in body_lines(body) {
-            let entry = match std::str::from_utf8(raw) {
-                Err(_) => Err((line_no, "invalid UTF-8".to_owned())),
-                Ok(text) => match (self.parse)(text) {
-                    Ok(p) => {
-                        points.push(p);
-                        Ok(())
-                    }
-                    Err(e) => Err((line_no, e)),
-                },
-            };
-            parsed.push(entry);
-        }
-        let scores = model.score_batch(&points);
-        let mut body = String::new();
-        let (mut lines_ok, mut lines_err) = (0u64, 0u64);
-        let mut next_score = scores.into_iter();
-        for entry in &parsed {
-            match entry {
-                Ok(_) => {
-                    let s = next_score.next().expect("one score per parsed point");
-                    body.push_str(&format!("{{\"score\": {}}}\n", json_f64(s)));
-                    lines_ok += 1;
-                }
-                Err((line_no, msg)) => {
-                    body.push_str(&error_line(*line_no, msg));
-                    body.push('\n');
-                    lines_err += 1;
-                }
-            }
-        }
-        NdjsonOutcome {
-            generation,
-            body,
-            lines_ok,
-            lines_err,
-        }
-    }
-
-    fn ingest_ndjson(&self, body: &[u8]) -> NdjsonOutcome {
-        let mut out = String::new();
-        let (mut lines_ok, mut lines_err) = (0u64, 0u64);
-        // Newest generation any event in this batch was scored against;
-        // the batch header reports the max so a client watching
-        // `X-Mccatch-Generation` never sees it regress just because the
-        // last line of a batch raced a swap.
-        let mut max_generation: Option<u64> = None;
-        // When the replay log is on, the lock is held across the whole
-        // batch: seq assignment and log append stay atomic, so the log's
-        // tick order always matches the window's.
-        let mut log = self
-            .replay
-            .as_ref()
-            .map(|m| m.lock().unwrap_or_else(|e| e.into_inner()));
-        for (line_no, raw) in body_lines(body) {
-            match std::str::from_utf8(raw)
-                .map_err(|_| "invalid UTF-8".to_owned())
-                .and_then(|text| (self.parse)(text))
-            {
-                Ok(point) => {
-                    // Events are scored-then-learned one by one, each
-                    // tagged with its own generation; the refit policy
-                    // (every-N / drift) fires exactly as it does for a
-                    // library `ingest` caller.
-                    let event = if let Some(log) = log.as_mut() {
-                        let event = self.detector.ingest(point.clone());
-                        // Best-effort: a full disk must not fail live
-                        // scoring; the torn tail is recovered from at
-                        // restore time.
-                        let _ = log.append(event.seq, event.tick, &point);
-                        event
-                    } else {
-                        self.detector.ingest(point)
-                    };
-                    max_generation = Some(max_generation.unwrap_or(0).max(event.generation));
-                    out.push_str(&crate::ndjson::scored_event_json(&event));
-                    out.push('\n');
-                    lines_ok += 1;
-                }
-                Err(msg) => {
-                    out.push_str(&error_line(line_no, &msg));
-                    out.push('\n');
-                    lines_err += 1;
-                }
-            }
-        }
-        NdjsonOutcome {
-            generation: max_generation.unwrap_or_else(|| self.detector.generation()),
-            body: out,
-            lines_ok,
-            lines_err,
-        }
-    }
-
-    fn refit_now(&self) -> Result<u64, String> {
-        self.detector.refit_now().map_err(|e| e.to_string())
-    }
-
-    fn generation(&self) -> u64 {
-        self.detector.generation()
-    }
-
-    fn stream_stats(&self) -> StreamStats {
-        self.detector.stats()
-    }
-
-    fn model_stats(&self) -> ModelStats {
-        self.detector.model().stats()
-    }
-
-    fn live_distance_evals(&self) -> u64 {
-        self.detector.model().distance_stats().evals
-    }
-
-    fn save_snapshot(&self) -> SnapshotOutcome {
-        let Some(path) = &self.snapshot_path else {
-            return SnapshotOutcome::Unconfigured;
-        };
-        let cp = self.detector.checkpoint();
-        match write_snapshot_atomic(path, cp.model.as_ref(), cp.generation, cp.seq) {
-            Ok(bytes) => SnapshotOutcome::Saved {
-                generation: cp.generation,
-                seq: cp.seq,
-                bytes,
-                path: path.display().to_string(),
-            },
-            Err(e) => SnapshotOutcome::Failed(e),
-        }
-    }
-
-    fn snapshot_info(&self) -> SnapshotInfoOutcome {
-        let Some(path) = &self.snapshot_path else {
-            return SnapshotInfoOutcome::Unconfigured;
-        };
-        snapshot_info_at(path)
     }
 }
 
@@ -425,19 +199,31 @@ fn aggregate_model_stats<'a>(shards: impl Iterator<Item = &'a ModelStats>) -> Mo
     agg
 }
 
-/// The [`Service`] over one tenant's shard set: the same NDJSON wire
-/// contract as [`StreamService`], with scoring fanned out to the shard
-/// ensemble (element-wise minimum) and ingest routed by point key
-/// through the tenant's bounded per-shard admission. With one shard
-/// this produces byte-identical `/score` bodies to the single-store
-/// path (the tenant layer's bit-equality property).
+/// The [`Service`] over one tenant's shard set: scoring fanned out to
+/// the shard ensemble (element-wise minimum) and ingest routed by point
+/// key through the tenant's bounded per-shard admission. The default
+/// tenant has one shard, so its `/score` bodies are byte-identical to a
+/// plain detector's (the tenant layer's bit-equality property).
 pub(crate) struct TenantService<P, M, B> {
     tenant: Arc<Tenant<P, M, B>>,
     parse: LineParser<P>,
-    /// Per-tenant snapshots live at `{base}.{tenant}.{shard}` (see
-    /// [`tenant_snapshot_path`]); `None` answers `409` like the
-    /// single-store path.
+    /// Snapshots live at `{base}.{tenant}.{shard}` (the tenant crate's
+    /// [`shard_file_path`] layout); `None` answers `409`.
     snapshot_base: Option<PathBuf>,
+}
+
+impl<P, M, B> TenantService<P, M, B> {
+    pub fn new(
+        tenant: Arc<Tenant<P, M, B>>,
+        parse: LineParser<P>,
+        snapshot_base: Option<PathBuf>,
+    ) -> Self {
+        Self {
+            tenant,
+            parse,
+            snapshot_base,
+        }
+    }
 }
 
 impl<P, M, B> Service for TenantService<P, M, B>
@@ -588,7 +374,7 @@ where
         };
         // Shard 0 is the representative header (all shards are written
         // by the same save call); its path is what the JSON reports.
-        snapshot_info_at(&tenant_snapshot_path(base, self.tenant.name(), 0))
+        snapshot_info_at(&shard_file_path(base, self.tenant.name(), 0))
     }
 
     fn shard_queues(&self) -> Vec<ShardQueue> {
@@ -602,7 +388,7 @@ where
 
 /// What the router needs from the tenant registry, erased over the
 /// point, metric, and index types (the same move [`Service`] makes for
-/// one detector).
+/// one tenant).
 pub(crate) trait TenantRegistry: Send + Sync {
     /// The per-tenant [`Service`] facade of `name`, if the tenant
     /// exists.
@@ -653,11 +439,11 @@ where
 {
     fn get(&self, name: &str) -> Option<Arc<dyn Service>> {
         self.map.get(name).map(|tenant| {
-            Arc::new(TenantService {
+            Arc::new(TenantService::new(
                 tenant,
-                parse: Arc::clone(&self.parse),
-                snapshot_base: self.snapshot_base.clone(),
-            }) as Arc<dyn Service>
+                Arc::clone(&self.parse),
+                self.snapshot_base.clone(),
+            )) as Arc<dyn Service>
         })
     }
 
@@ -700,24 +486,40 @@ mod tests {
     use mccatch_metric::Euclidean;
     use mccatch_stream::{RefitPolicy, StreamConfig};
 
-    fn service() -> StreamService<Vec<f64>, Euclidean, KdTreeBuilder> {
+    type VecMap = TenantMap<Vec<f64>, Euclidean, KdTreeBuilder>;
+
+    fn map(shards: usize) -> VecMap {
+        TenantMap::new(
+            McCatch::builder().build().unwrap(),
+            Euclidean,
+            KdTreeBuilder::default(),
+            mccatch_tenant::TenantSpec {
+                shards,
+                stream: StreamConfig {
+                    capacity: 512,
+                    policy: RefitPolicy::Manual,
+                    ..StreamConfig::default()
+                },
+                ingest_queue: 64,
+                replay: None,
+            },
+        )
+        .unwrap()
+    }
+
+    fn seed() -> Vec<Vec<f64>> {
         let mut seed: Vec<Vec<f64>> = (0..100)
             .map(|i| vec![(i % 10) as f64, (i / 10) as f64])
             .collect();
         seed.push(vec![500.0, 500.0]);
-        let detector = StreamDetector::new(
-            StreamConfig {
-                capacity: 512,
-                policy: RefitPolicy::Manual,
-                ..StreamConfig::default()
-            },
-            McCatch::builder().build().unwrap(),
-            Euclidean,
-            KdTreeBuilder::default(),
-            seed,
-        )
-        .unwrap();
-        StreamService::new(Arc::new(detector), Arc::new(parse_vector_line), None, None)
+        seed
+    }
+
+    /// The default tenant's service — one shard, whatever the map's
+    /// shard count — exactly as the server mounts it on the bare paths.
+    fn service() -> TenantService<Vec<f64>, Euclidean, KdTreeBuilder> {
+        let default = map(2).create_default(seed()).unwrap();
+        TenantService::new(default, Arc::new(parse_vector_line), None)
     }
 
     #[test]
@@ -740,7 +542,8 @@ mod tests {
     fn score_is_bit_identical_to_the_model_store() {
         let svc = service();
         let queries = vec![vec![4.5, 4.5], vec![250.0, -3.0]];
-        let direct = svc.detector.store().score_batch(&queries);
+        let store = svc.tenant.shard_detector(0).unwrap().store();
+        let direct = store.score_batch(&queries);
         let out = svc.score_ndjson(b"[4.5, 4.5]\n[250.0, -3.0]\n");
         let served: Vec<f64> = out
             .body
@@ -769,6 +572,10 @@ mod tests {
         assert!(lines[0].contains("\"seq\": ") && lines[0].contains("\"flagged\": false"));
         assert!(lines[2].contains("\"flagged\": true"));
         assert_eq!(svc.stream_stats().events_ingested, before + 2);
+        // Ingest goes through the bounded admission, which drained.
+        let queues = svc.shard_queues();
+        assert_eq!(queues.len(), 1);
+        assert_eq!((queues[0].depth, queues[0].rejected), (0, 0));
     }
 
     #[test]
@@ -780,49 +587,15 @@ mod tests {
     }
 
     fn registry(shards: usize) -> MapRegistry<Vec<f64>, Euclidean, KdTreeBuilder> {
-        let map = TenantMap::new(
-            McCatch::builder().build().unwrap(),
-            Euclidean,
-            KdTreeBuilder::default(),
-            mccatch_tenant::TenantSpec {
-                shards,
-                stream: StreamConfig {
-                    capacity: 512,
-                    policy: RefitPolicy::Manual,
-                    ..StreamConfig::default()
-                },
-                ingest_queue: 64,
-                replay: None,
-            },
-        )
-        .unwrap();
-        MapRegistry::new(Arc::new(map), Arc::new(parse_vector_line), None)
+        MapRegistry::new(Arc::new(map(shards)), Arc::new(parse_vector_line), None)
     }
 
     fn seed_body() -> Vec<u8> {
-        let mut body = String::new();
-        for i in 0..100 {
-            body.push_str(&format!("[{}, {}]\n", i % 10, i / 10));
-        }
-        body.push_str("[500.0, 500.0]\n");
-        body.into_bytes()
-    }
-
-    #[test]
-    fn single_shard_tenant_serves_byte_identical_score_bodies() {
-        let reg = registry(1);
-        assert_eq!(reg.create("acme", &seed_body()), Ok(true));
-        let tenant_svc = reg.get("acme").unwrap();
-        let plain = service();
-        let body = b"[4.5, 4.5]\nnot json\n[900.0, 900.0]\n".as_slice();
-        let ours = tenant_svc.score_ndjson(body);
-        let theirs = plain.score_ndjson(body);
-        assert_eq!(ours.body, theirs.body, "wire bodies must be byte-equal");
-        assert_eq!(ours.generation, theirs.generation);
-        assert_eq!(
-            (ours.lines_ok, ours.lines_err),
-            (theirs.lines_ok, theirs.lines_err)
-        );
+        seed()
+            .iter()
+            .map(|p| format!("[{}, {}]\n", p[0], p[1]))
+            .collect::<String>()
+            .into_bytes()
     }
 
     #[test]
@@ -897,7 +670,7 @@ mod tests {
 
     #[test]
     fn tenant_snapshot_paths_append_tenant_and_shard() {
-        let p = tenant_snapshot_path(Path::new("/tmp/snap.bin"), "acme", 3);
+        let p = shard_file_path(Path::new("/tmp/snap.bin"), "acme", 3);
         assert_eq!(p, PathBuf::from("/tmp/snap.bin.acme.3"));
     }
 }

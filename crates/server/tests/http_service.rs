@@ -1,18 +1,21 @@
 //! Integration tests over real sockets: every endpoint, the
 //! malformed-input matrix, backpressure, graceful shutdown, and
-//! serving-under-swap bit-equality — all on ephemeral localhost ports.
+//! serving-under-swap bit-equality — all on ephemeral localhost ports,
+//! all through the bare endpoints (the default tenant).
 
 use mccatch_core::McCatch;
 use mccatch_index::KdTreeBuilder;
 use mccatch_metric::Euclidean;
 use mccatch_server::client::{get, post, ClientResponse, Connection};
 use mccatch_server::{ndjson, serve, ServerConfig, ServerError, ServerHandle};
-use mccatch_stream::{RefitPolicy, StreamConfig, StreamDetector};
+use mccatch_stream::{RefitPolicy, StreamConfig};
+use mccatch_tenant::{Tenant, TenantMap, TenantSpec};
 use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
-type VecDetector = StreamDetector<Vec<f64>, Euclidean, KdTreeBuilder>;
+type VecTenant = Tenant<Vec<f64>, Euclidean, KdTreeBuilder>;
+type VecTenants = TenantMap<Vec<f64>, Euclidean, KdTreeBuilder>;
 
 /// A 10×10 grid plus one isolate, shifted by `shift` — the reference
 /// workload of the serve/stream test suites.
@@ -24,37 +27,41 @@ fn grid(shift: f64) -> Vec<Vec<f64>> {
     pts
 }
 
-fn detector(capacity: usize, seed: Vec<Vec<f64>>) -> Arc<VecDetector> {
-    Arc::new(
-        StreamDetector::new(
-            StreamConfig {
+/// The default tenant over `seed` (one shard, a `capacity`-event
+/// window) and the empty named-tenant map the server mounts beside it.
+fn default_tenant(capacity: usize, seed: Vec<Vec<f64>>) -> (Arc<VecTenant>, Arc<VecTenants>) {
+    let map = TenantMap::new(
+        McCatch::builder().build().unwrap(),
+        Euclidean,
+        KdTreeBuilder::default(),
+        TenantSpec {
+            stream: StreamConfig {
                 capacity,
                 policy: RefitPolicy::Manual,
                 ..StreamConfig::default()
             },
-            McCatch::builder().build().unwrap(),
-            Euclidean,
-            KdTreeBuilder::default(),
-            seed,
-        )
-        .unwrap(),
+            ..TenantSpec::default()
+        },
     )
+    .unwrap();
+    (map.create_default(seed).unwrap(), Arc::new(map))
 }
 
-fn start_with_capacity(config: ServerConfig, capacity: usize) -> (ServerHandle, Arc<VecDetector>) {
-    let detector = detector(capacity, grid(0.0));
+fn start_with_capacity(config: ServerConfig, capacity: usize) -> (ServerHandle, Arc<VecTenant>) {
+    let (default, map) = default_tenant(capacity, grid(0.0));
     let server = serve(
         "127.0.0.1:0",
         config,
-        Arc::clone(&detector),
+        Arc::clone(&default),
+        map,
         ndjson::vector_parser(Some(2)),
         "kd",
     )
     .unwrap();
-    (server, detector)
+    (server, default)
 }
 
-fn start(config: ServerConfig) -> (ServerHandle, Arc<VecDetector>) {
+fn start(config: ServerConfig) -> (ServerHandle, Arc<VecTenant>) {
     start_with_capacity(config, 512)
 }
 
@@ -74,14 +81,15 @@ fn scores_of(resp: &ClientResponse) -> Vec<f64> {
 
 #[test]
 fn invalid_config_and_unbindable_addr_are_typed_errors() {
-    let detector = detector(64, grid(0.0));
+    let (default, map) = default_tenant(64, grid(0.0));
     let err = serve(
         "127.0.0.1:0",
         ServerConfig {
             workers: 0,
             ..ServerConfig::default()
         },
-        Arc::clone(&detector),
+        Arc::clone(&default),
+        Arc::clone(&map),
         Arc::new(ndjson::parse_vector_line),
         "kd",
     )
@@ -92,7 +100,8 @@ fn invalid_config_and_unbindable_addr_are_typed_errors() {
     let err = serve(
         "192.0.2.1:1",
         ServerConfig::default(),
-        detector,
+        default,
+        map,
         Arc::new(ndjson::parse_vector_line),
         "kd",
     )
@@ -103,7 +112,7 @@ fn invalid_config_and_unbindable_addr_are_typed_errors() {
 
 #[test]
 fn healthz_and_metrics_answer_200() {
-    let (server, _detector) = start(ServerConfig::default());
+    let (server, _default) = start(ServerConfig::default());
     let addr = server.local_addr();
 
     let health = get(addr, "/healthz").unwrap();
@@ -150,7 +159,7 @@ fn healthz_and_metrics_answer_200() {
 
 #[test]
 fn every_response_carries_a_request_id_echoed_or_generated() {
-    let (server, _detector) = start(ServerConfig::default());
+    let (server, _default) = start(ServerConfig::default());
     let addr = server.local_addr();
 
     // No client id: the server generates one.
@@ -178,7 +187,7 @@ fn every_response_carries_a_request_id_echoed_or_generated() {
 fn slow_request_ring_serves_valid_ndjson_access_lines() {
     // Threshold zero: every request is "slow", so the ring fills
     // without needing an artificially slow handler.
-    let (server, _detector) = start(ServerConfig {
+    let (server, _default) = start(ServerConfig {
         slow_request_ms: 0,
         ..ServerConfig::default()
     });
@@ -225,7 +234,7 @@ fn slow_request_ring_serves_valid_ndjson_access_lines() {
 
 #[test]
 fn default_threshold_keeps_fast_requests_out_of_the_ring() {
-    let (server, _detector) = start(ServerConfig::default());
+    let (server, _default) = start(ServerConfig::default());
     let addr = server.local_addr();
     let scored = post(addr, "/score", b"[4.5, 4.5]\n").unwrap();
     assert_eq!(scored.status, 200);
@@ -236,7 +245,8 @@ fn default_threshold_keeps_fast_requests_out_of_the_ring() {
 
 #[test]
 fn score_matches_the_model_store_bit_for_bit() {
-    let (server, detector) = start(ServerConfig::default());
+    let (server, default) = start(ServerConfig::default());
+    let detector = default.shard_detector(0).unwrap();
     let queries = vec![vec![4.5, 4.5], vec![250.0, -3.0], vec![499.9, 500.1]];
     let direct = detector.store().score_batch(&queries);
 
@@ -256,7 +266,8 @@ fn score_matches_the_model_store_bit_for_bit() {
 
 #[test]
 fn ingest_scores_events_and_feeds_the_window() {
-    let (server, detector) = start(ServerConfig::default());
+    let (server, default) = start(ServerConfig::default());
+    let detector = default.shard_detector(0).unwrap();
     let before = detector.stats().events_ingested;
     let resp = post(
         server.local_addr(),
@@ -276,7 +287,8 @@ fn ingest_scores_events_and_feeds_the_window() {
 
 #[test]
 fn empty_ingest_body_short_circuits_with_the_current_generation() {
-    let (server, detector) = start(ServerConfig::default());
+    let (server, default) = start(ServerConfig::default());
+    let detector = default.shard_detector(0).unwrap();
     let addr = server.local_addr();
     let before = detector.stats().events_ingested;
     // A body with no NDJSON lines (empty, or blank lines only) is a
@@ -302,7 +314,8 @@ fn empty_ingest_body_short_circuits_with_the_current_generation() {
 fn admin_refit_advances_the_generation_for_later_scores() {
     // Capacity equals the workload size, so the shifted traffic below
     // evicts the seed completely before the refit pins the model to it.
-    let (server, detector) = start_with_capacity(ServerConfig::default(), 101);
+    let (server, default) = start_with_capacity(ServerConfig::default(), 101);
+    let detector = default.shard_detector(0).unwrap();
     let addr = server.local_addr();
     for p in grid(1000.0) {
         detector.ingest(p);
@@ -321,7 +334,7 @@ fn admin_refit_advances_the_generation_for_later_scores() {
 
 #[test]
 fn malformed_input_matrix() {
-    let (server, _detector) = start(ServerConfig {
+    let (server, _default) = start(ServerConfig {
         max_body_bytes: 4096,
         max_header_bytes: 1024,
         // Short server-side read timeout: the truncated-body case below
@@ -444,14 +457,15 @@ fn a_handler_panic_costs_500_not_a_worker_thread() {
     // kd-tree, which panics. The worker must answer 500 and survive;
     // with a single worker in the pool, a leaked thread would wedge the
     // server visibly.
-    let detector = detector(512, grid(0.0));
+    let (default, map) = default_tenant(512, grid(0.0));
     let server = serve(
         "127.0.0.1:0",
         ServerConfig {
             workers: 1,
             ..ServerConfig::default()
         },
-        detector,
+        default,
+        map,
         Arc::new(ndjson::parse_vector_line),
         "kd",
     )
@@ -473,7 +487,7 @@ fn expect_100_continue_is_answered_before_the_body_is_sent() {
     // curl sends `Expect: 100-continue` on large uploads and holds the
     // body back until the interim response (or a 1-second timeout) —
     // the server must answer it, or every big in-contract batch stalls.
-    let (server, _detector) = start(ServerConfig::default());
+    let (server, _default) = start(ServerConfig::default());
     use std::io::{Read, Write};
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();
     stream
@@ -505,7 +519,7 @@ fn expect_100_continue_is_answered_before_the_body_is_sent() {
 
 #[test]
 fn keep_alive_serves_many_requests_on_one_connection() {
-    let (server, _detector) = start(ServerConfig::default());
+    let (server, _default) = start(ServerConfig::default());
     let mut conn = Connection::open(server.local_addr()).unwrap();
     for _ in 0..5 {
         let resp = conn.request("GET", "/healthz", b"").unwrap();
@@ -521,7 +535,7 @@ fn full_queue_answers_503_with_retry_after() {
     // One worker, a one-slot queue, and a worker deliberately wedged on
     // a silent connection: the third client must be turned away
     // immediately with 503 + Retry-After, not buffered.
-    let (server, _detector) = start(ServerConfig {
+    let (server, _default) = start(ServerConfig {
         workers: 1,
         queue: 1,
         read_timeout: Some(Duration::from_secs(2)),
@@ -569,7 +583,7 @@ fn full_queue_answers_503_with_retry_after() {
 
 #[test]
 fn shutdown_is_graceful_and_idempotent() {
-    let (server, _detector) = start(ServerConfig {
+    let (server, _default) = start(ServerConfig {
         read_timeout: Some(Duration::from_millis(300)),
         ..ServerConfig::default()
     });
@@ -628,18 +642,20 @@ fn score_under_concurrent_refits_is_tagged_and_bit_identical() {
         "the two states must be distinguishable"
     );
 
-    let detector = detector(set_a.len(), set_a.clone());
+    let (default, map) = default_tenant(set_a.len(), set_a.clone());
     let server = serve(
         "127.0.0.1:0",
         ServerConfig {
             workers: 6,
             ..ServerConfig::default()
         },
-        Arc::clone(&detector),
+        Arc::clone(&default),
+        map,
         Arc::new(ndjson::parse_vector_line),
         "kd",
     )
     .unwrap();
+    let detector = default.shard_detector(0).unwrap();
     let addr = server.local_addr();
     let body = "[4.5, 4.5]\n[3004.5, 4.5]\n[-777.0, 12.0]\n".to_owned();
 
@@ -707,10 +723,10 @@ fn score_under_concurrent_refits_is_tagged_and_bit_identical() {
     let resp = post(addr, "/score", body.as_bytes()).unwrap();
     assert_eq!(scores_of(&resp), direct);
 
-    // `/ingest` is tagged too: the batch header must equal the largest
-    // per-event generation in the response, so a client watching
-    // `X-Mccatch-Generation` never sees it regress just because the
-    // last event of a batch raced a swap.
+    // `/ingest` is tagged too: the batch header is the tenant
+    // generation read after the batch, so it is never below any
+    // per-event generation in the response and a client watching
+    // `X-Mccatch-Generation` never sees it regress.
     let resp = post(addr, "/ingest", body.as_bytes()).unwrap();
     assert_eq!(resp.status, 200);
     let tagged: u64 = resp
@@ -732,7 +748,7 @@ fn score_under_concurrent_refits_is_tagged_and_bit_identical() {
         })
         .max()
         .unwrap();
-    assert_eq!(tagged, max_event_gen);
+    assert!(tagged >= max_event_gen, "{tagged} < {max_event_gen}");
     assert_eq!(tagged, completed_swaps);
 }
 
@@ -742,7 +758,7 @@ fn score_under_concurrent_refits_is_tagged_and_bit_identical() {
 #[test]
 fn snapshot_endpoints_save_and_describe_the_served_model() {
     // Unconfigured server: both endpoints refuse with 409.
-    let (server, _detector) = start(ServerConfig::default());
+    let (server, _default) = start(ServerConfig::default());
     let addr = server.local_addr();
     assert_eq!(post(addr, "/admin/snapshot", b"").unwrap().status, 409);
     assert_eq!(get(addr, "/admin/snapshot/info").unwrap().status, 409);
@@ -757,17 +773,18 @@ fn snapshot_endpoints_save_and_describe_the_served_model() {
 
     // Configured server: info is 404 until the first save lands.
     let dir = std::env::temp_dir().join(format!("mccatch-server-snap-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let snapshot_path = dir.join("model.mcsn");
-    let _ = std::fs::remove_file(&snapshot_path);
-    let detector = detector(512, grid(0.0));
+    let (default, map) = default_tenant(512, grid(0.0));
     let server = serve(
         "127.0.0.1:0",
         ServerConfig {
             snapshot_path: Some(snapshot_path.clone()),
             ..ServerConfig::default()
         },
-        Arc::clone(&detector),
+        default,
+        map,
         ndjson::vector_parser(Some(2)),
         "kd",
     )
@@ -781,6 +798,12 @@ fn snapshot_endpoints_save_and_describe_the_served_model() {
     let saved_text = saved.text().unwrap();
     assert!(saved_text.contains("\"generation\": 0"), "{saved_text}");
     assert!(saved_text.contains("\"bytes\": "), "{saved_text}");
+    // The default tenant persists in the tenant layout: one shard file
+    // plus the manifest, never the bare path.
+    assert!(saved_text.contains("model.mcsn.default.*"), "{saved_text}");
+    let shard0 = dir.join("model.mcsn.default.0");
+    assert!(dir.join("model.mcsn.default.manifest").is_file());
+    assert!(!snapshot_path.exists());
 
     let info = get(addr, "/admin/snapshot/info").unwrap();
     assert_eq!(info.status, 200);
@@ -797,8 +820,9 @@ fn snapshot_endpoints_save_and_describe_the_served_model() {
             "missing {needle:?} in {info_text}"
         );
     }
-    // The advertised byte count is the file's actual size.
-    let on_disk = std::fs::metadata(&snapshot_path).unwrap().len();
+    // The advertised byte count is shard 0's actual size.
+    assert!(info_text.contains("model.mcsn.default.0"), "{info_text}");
+    let on_disk = std::fs::metadata(&shard0).unwrap().len();
     assert!(
         info_text.contains(&format!("\"bytes\": {on_disk}")),
         "{info_text} vs {on_disk} on disk"

@@ -6,12 +6,11 @@ use mccatch_core::McCatch;
 use mccatch_index::KdTreeBuilder;
 use mccatch_metric::Euclidean;
 use mccatch_server::client::{get, post, ClientResponse, Connection};
-use mccatch_server::{ndjson, serve, serve_tenants, ServerConfig, ServerHandle};
-use mccatch_stream::{RefitPolicy, StreamConfig, StreamDetector};
+use mccatch_server::{ndjson, serve, ServerConfig, ServerHandle};
+use mccatch_stream::{RefitPolicy, StreamConfig};
 use mccatch_tenant::{TenantMap, TenantSpec};
 use std::sync::Arc;
 
-type VecDetector = StreamDetector<Vec<f64>, Euclidean, KdTreeBuilder>;
 type VecTenants = TenantMap<Vec<f64>, Euclidean, KdTreeBuilder>;
 
 /// A 10×10 grid plus one isolate, shifted by `shift` — the reference
@@ -40,19 +39,6 @@ fn stream_config() -> StreamConfig {
     }
 }
 
-fn detector(seed: Vec<Vec<f64>>) -> Arc<VecDetector> {
-    Arc::new(
-        StreamDetector::new(
-            stream_config(),
-            McCatch::builder().build().unwrap(),
-            Euclidean,
-            KdTreeBuilder::default(),
-            seed,
-        )
-        .unwrap(),
-    )
-}
-
 fn tenant_map(shards: usize) -> Arc<VecTenants> {
     Arc::new(
         TenantMap::new(
@@ -72,13 +58,13 @@ fn tenant_map(shards: usize) -> Arc<VecTenants> {
 
 fn start_tenants(config: ServerConfig, shards: usize) -> (ServerHandle, Arc<VecTenants>) {
     let map = tenant_map(shards);
-    let server = serve_tenants(
+    let server = serve(
         "127.0.0.1:0",
         config,
-        detector(grid(0.0)),
+        map.create_default(grid(0.0)).unwrap(),
+        Arc::clone(&map),
         ndjson::vector_parser(Some(2)),
         "kd",
-        Arc::clone(&map),
     )
     .unwrap();
     (server, map)
@@ -103,26 +89,6 @@ fn generation_of(resp: &ClientResponse) -> u64 {
         .unwrap()
         .parse()
         .unwrap()
-}
-
-#[test]
-fn tenancy_disabled_server_answers_404_on_tenant_routes() {
-    let server = serve(
-        "127.0.0.1:0",
-        ServerConfig::default(),
-        detector(grid(0.0)),
-        ndjson::vector_parser(Some(2)),
-        "kd",
-    )
-    .unwrap();
-    let addr = server.local_addr();
-    let resp = post(addr, "/t/acme/score", b"[1.0, 1.0]\n").unwrap();
-    assert_eq!(resp.status, 404);
-    assert!(resp.text().unwrap().contains("not enabled"));
-    let resp = get(addr, "/admin/tenants").unwrap();
-    assert_eq!(resp.status, 404);
-    // The bare endpoints are untouched.
-    assert_eq!(post(addr, "/score", b"[1.0, 1.0]\n").unwrap().status, 200);
 }
 
 #[test]
@@ -243,7 +209,7 @@ fn header_routing_matches_path_routing_and_mismatch_is_400() {
 
 #[test]
 fn single_shard_tenant_is_byte_identical_to_the_default_path() {
-    // The default detector and the tenant are seeded identically; every
+    // The default tenant and the named one are seeded identically; every
     // /score response body must be byte-equal between the bare path and
     // the tenant-scoped path.
     let (server, _map) = start_tenants(ServerConfig::default(), 1);
@@ -373,7 +339,7 @@ fn per_tenant_snapshots_write_one_file_per_shard() {
     let dir = std::env::temp_dir().join(format!("mccatch-tenant-snap-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let snapshot_path = dir.join("model.mcsn");
-    for suffix in ["", ".acme.0", ".acme.1"] {
+    for suffix in ["", ".acme.0", ".acme.1", ".default.0", ".default.manifest"] {
         let _ = std::fs::remove_file(dir.join(format!("model.mcsn{suffix}")));
     }
     let (server, _map) = start_tenants(
@@ -405,9 +371,17 @@ fn per_tenant_snapshots_write_one_file_per_shard() {
     assert_eq!(info.status, 200);
     assert!(info.text().unwrap().contains(".acme.0"));
 
-    // The default tenant's snapshot still goes to the bare path.
-    assert_eq!(post(addr, "/admin/snapshot", b"").unwrap().status, 200);
-    assert!(snapshot_path.is_file());
+    // The default tenant persists in the same layout, always as one
+    // shard whatever the map's shard count, and never at the bare path.
+    let resp = post(addr, "/admin/snapshot", b"").unwrap();
+    assert_eq!(resp.status, 200);
+    assert!(resp.text().unwrap().contains(".default.*"));
+    assert!(dir.join("model.mcsn.default.0").is_file());
+    assert!(dir.join("model.mcsn.default.manifest").is_file());
+    assert!(!dir.join("model.mcsn.default.1").exists());
+    assert!(!snapshot_path.exists());
+    let info = get(addr, "/admin/snapshot/info").unwrap();
+    assert!(info.text().unwrap().contains(".default.0"));
 
     drop(server);
     let _ = std::fs::remove_dir_all(&dir);

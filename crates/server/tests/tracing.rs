@@ -13,13 +13,12 @@ use mccatch_core::McCatch;
 use mccatch_index::KdTreeBuilder;
 use mccatch_metric::Euclidean;
 use mccatch_server::client::{post, ClientResponse, Connection};
-use mccatch_server::{ndjson, serve_tenants, ServerConfig, ServerHandle};
-use mccatch_stream::{RefitPolicy, StreamConfig, StreamDetector};
+use mccatch_server::{ndjson, serve, ServerConfig, ServerHandle};
+use mccatch_stream::{RefitPolicy, StreamConfig};
 use mccatch_tenant::{TenantMap, TenantSpec};
 use std::net::SocketAddr;
 use std::sync::Arc;
 
-type VecDetector = StreamDetector<Vec<f64>, Euclidean, KdTreeBuilder>;
 type VecTenants = TenantMap<Vec<f64>, Euclidean, KdTreeBuilder>;
 
 /// A 10×10 grid plus one isolate — the reference workload of the
@@ -48,19 +47,6 @@ fn stream_config() -> StreamConfig {
     }
 }
 
-fn detector(seed: Vec<Vec<f64>>) -> Arc<VecDetector> {
-    Arc::new(
-        StreamDetector::new(
-            stream_config(),
-            McCatch::builder().build().unwrap(),
-            Euclidean,
-            KdTreeBuilder::default(),
-            seed,
-        )
-        .unwrap(),
-    )
-}
-
 fn start_tenants(config: ServerConfig, shards: usize) -> (ServerHandle, Arc<VecTenants>) {
     let map = Arc::new(
         TenantMap::new(
@@ -76,13 +62,13 @@ fn start_tenants(config: ServerConfig, shards: usize) -> (ServerHandle, Arc<VecT
         )
         .unwrap(),
     );
-    let server = serve_tenants(
+    let server = serve(
         "127.0.0.1:0",
         config,
-        detector(grid()),
+        map.create_default(grid()).unwrap(),
+        Arc::clone(&map),
         ndjson::vector_parser(Some(2)),
         "kd",
-        Arc::clone(&map),
     )
     .unwrap();
     (server, map)

@@ -1,18 +1,22 @@
 //! The kill-and-restart contract, end to end over real sockets: a
 //! server with persistence configured is snapshotted, shut down, and
-//! rebuilt from the snapshot plus the ingest replay log — and the new
-//! process serves byte-identical `/score` responses at the restored
+//! rebuilt from the snapshot sets plus the ingest replay logs — and the
+//! new process serves byte-identical `/score` responses at the restored
 //! generation, with the stream position and sliding window continuing
-//! where the old process stopped.
+//! where the old process stopped. The default tenant behind the bare
+//! endpoints and the named tenants share one layout and one restore
+//! path.
 
 use mccatch_core::McCatch;
 use mccatch_index::KdTreeBuilder;
 use mccatch_metric::Euclidean;
-use mccatch_persist::{restore_stream, FsyncPolicy, ReplayReader};
+use mccatch_persist::{FsyncPolicy, ReplayReader};
 use mccatch_server::client::{get, post, Connection};
-use mccatch_server::{ndjson, serve, serve_tenants, ServerConfig};
-use mccatch_stream::{RefitPolicy, StreamConfig, StreamDetector};
-use mccatch_tenant::{ReplaySpec, TenantMap, TenantPersistError, TenantSpec};
+use mccatch_server::{ndjson, serve, ServerConfig};
+use mccatch_stream::{RefitPolicy, StreamConfig};
+use mccatch_tenant::{
+    shard_file_path, ReplaySpec, TenantMap, TenantPersistError, TenantSpec, DEFAULT_TENANT,
+};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -40,135 +44,17 @@ fn seq_of(line: &str) -> u64 {
         .unwrap()
 }
 
-#[test]
-fn kill_and_restart_serves_byte_identical_scores() {
-    let dir = std::env::temp_dir().join(format!("mccatch-warm-restart-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let snapshot_path = dir.join("model.mcsn");
-    let replay_log = dir.join("ingest.ndjson");
-
-    let stream_config = StreamConfig {
-        capacity: 101,
-        policy: RefitPolicy::Manual,
-        ..StreamConfig::default()
-    };
-    let server_config = ServerConfig {
-        snapshot_path: Some(snapshot_path.clone()),
-        replay_log: Some(replay_log.clone()),
-        replay_fsync_every: 1,
-        ..ServerConfig::default()
-    };
-
-    // ---- First life: ingest traffic, refit, snapshot, die. ----
-    let detector = Arc::new(
-        StreamDetector::new(
-            stream_config.clone(),
-            McCatch::builder().build().unwrap(),
-            Euclidean,
-            KdTreeBuilder::default(),
-            grid(0.0),
-        )
-        .unwrap(),
-    );
-    let server = serve(
-        "127.0.0.1:0",
-        server_config.clone(),
-        Arc::clone(&detector),
-        ndjson::vector_parser(Some(2)),
-        "kd",
-    )
-    .unwrap();
-    let addr = server.local_addr();
-
-    // The shifted grid displaces the seed completely (capacity == batch
-    // size), and every accepted event lands in the replay log.
-    let traffic = grid(3000.0);
-    let ingested = post(addr, "/ingest", ndjson_body(&traffic).as_bytes()).unwrap();
-    assert_eq!(ingested.status, 200);
-    let last_seq = ingested.text().unwrap().lines().map(seq_of).max().unwrap();
-
-    let refit = post(addr, "/admin/refit", b"").unwrap();
-    assert_eq!(refit.header("x-mccatch-generation"), Some("1"));
-
-    let score_body = "[3004.5, 4.5]\n[4.5, 4.5]\n[-777.0, 12.0]\n";
-    let before = post(addr, "/score", score_body.as_bytes()).unwrap();
-    assert_eq!(before.header("x-mccatch-generation"), Some("1"));
-    let baseline = before.text().unwrap();
-
-    assert_eq!(post(addr, "/admin/snapshot", b"").unwrap().status, 200);
-    server.shutdown();
-    drop(detector);
-
-    // ---- Second life: snapshot + replay log -> a new process. ----
-    let logged = ReplayReader::open(&replay_log)
-        .unwrap()
-        .read_all::<Vec<f64>>()
-        .unwrap();
-    assert_eq!(logged.len(), traffic.len(), "every ingest was logged");
-    let snapshot = std::fs::File::open(&snapshot_path).unwrap();
-    let (restored, info) = restore_stream(
-        stream_config,
-        Euclidean,
-        KdTreeBuilder::default(),
-        std::io::BufReader::new(snapshot),
-        Some(logged),
-    )
-    .unwrap();
-    assert_eq!(info.generation, 1);
-    let restored = Arc::new(restored);
-    let server = serve(
-        "127.0.0.1:0",
-        server_config,
-        Arc::clone(&restored),
-        ndjson::vector_parser(Some(2)),
-        "kd",
-    )
-    .unwrap();
-    let addr = server.local_addr();
-
-    // Byte-identical scoring at the restored generation.
-    let after = post(addr, "/score", score_body.as_bytes()).unwrap();
-    assert_eq!(after.header("x-mccatch-generation"), Some("1"));
-    assert_eq!(
-        after.text().unwrap(),
-        baseline,
-        "scores changed across restart"
-    );
-    let metrics = get(addr, "/metrics").unwrap();
-    let metrics = metrics.text().unwrap();
-    assert!(metrics.contains("mccatch_model_generation 1"), "{metrics}");
-
-    // The stream position continues instead of restarting: the next
-    // accepted event takes the next sequence number.
-    let next = post(addr, "/ingest", b"[3004.0, 4.0]\n").unwrap();
-    let next_seq = next.text().unwrap().lines().map(seq_of).next().unwrap();
-    assert_eq!(next_seq, last_seq + 1);
-
-    // And the replayed window is the real one: it holds exactly the
-    // first life's traffic (shifted one slot by the event above — the
-    // window was already at capacity, so the oldest replayed event was
-    // evicted to admit it).
-    server.shutdown();
-    let window = restored.window_points();
-    assert_eq!(window.len(), 101);
-    assert_eq!(window[..100], traffic[1..]);
-    assert_eq!(window[100], vec![3004.0, 4.0]);
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-// ---------------------------------------------------------------------
-// Multi-tenant warm restart: the whole fleet survives a hard kill.
-// ---------------------------------------------------------------------
-
 type VecTenants = TenantMap<Vec<f64>, Euclidean, KdTreeBuilder>;
 
 fn tenant_spec(shards: usize, log: &Path) -> TenantSpec {
+    tenant_spec_with_capacity(shards, 64, log)
+}
+
+fn tenant_spec_with_capacity(shards: usize, capacity: usize, log: &Path) -> TenantSpec {
     TenantSpec {
         shards,
         stream: StreamConfig {
-            capacity: 64,
+            capacity,
             policy: RefitPolicy::Manual,
             ..StreamConfig::default()
         },
@@ -194,22 +80,193 @@ fn tenant_map(spec: TenantSpec) -> Arc<VecTenants> {
     )
 }
 
-fn default_detector() -> Arc<StreamDetector<Vec<f64>, Euclidean, KdTreeBuilder>> {
-    Arc::new(
-        StreamDetector::new(
-            StreamConfig {
-                capacity: 101,
-                policy: RefitPolicy::Manual,
-                ..StreamConfig::default()
-            },
-            McCatch::builder().build().unwrap(),
-            Euclidean,
-            KdTreeBuilder::default(),
-            grid(0.0),
-        )
-        .unwrap(),
-    )
+fn logged_points(log: &Path) -> Vec<Vec<f64>> {
+    ReplayReader::open(log)
+        .unwrap()
+        .read_all::<Vec<f64>>()
+        .unwrap()
+        .into_iter()
+        .map(|e| e.point)
+        .collect()
 }
+
+#[test]
+fn kill_and_restart_serves_byte_identical_scores() {
+    let dir = std::env::temp_dir().join(format!("mccatch-warm-restart-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let snapshot_path = dir.join("model.mcsn");
+    let replay_log = dir.join("ingest.ndjson");
+    let default_log = shard_file_path(&replay_log, DEFAULT_TENANT, 0);
+    // Two shards per named tenant: the default tenant has one anyway.
+    let spec = tenant_spec_with_capacity(2, 101, &replay_log);
+    let server_config = ServerConfig {
+        snapshot_path: Some(snapshot_path.clone()),
+        ..ServerConfig::default()
+    };
+
+    // ---- First life: ingest traffic, refit, snapshot, die. ----
+    let map = tenant_map(spec.clone());
+    let default = map.create_default(grid(0.0)).unwrap();
+    assert_eq!(default.shards(), 1);
+    let server = serve(
+        "127.0.0.1:0",
+        server_config.clone(),
+        default,
+        map,
+        ndjson::vector_parser(Some(2)),
+        "kd",
+    )
+    .unwrap();
+    let addr = server.local_addr();
+
+    // The shifted grid displaces the seed completely (capacity == batch
+    // size), and every accepted event lands in the replay log after the
+    // seed window it started with.
+    let traffic = grid(3000.0);
+    let ingested = post(addr, "/ingest", ndjson_body(&traffic).as_bytes()).unwrap();
+    assert_eq!(ingested.status, 200);
+    let last_seq = ingested.text().unwrap().lines().map(seq_of).max().unwrap();
+    assert_eq!(
+        logged_points(&default_log),
+        [grid(0.0), traffic.clone()].concat()
+    );
+
+    let refit = post(addr, "/admin/refit", b"").unwrap();
+    assert_eq!(refit.header("x-mccatch-generation"), Some("1"));
+
+    let score_body = "[3004.5, 4.5]\n[4.5, 4.5]\n[-777.0, 12.0]\n";
+    let before = post(addr, "/score", score_body.as_bytes()).unwrap();
+    assert_eq!(before.header("x-mccatch-generation"), Some("1"));
+    let baseline = before.text().unwrap();
+
+    let snapped = post(addr, "/admin/snapshot", b"").unwrap();
+    assert_eq!(snapped.status, 200);
+    assert!(snapped.text().unwrap().contains("model.mcsn.default.*"));
+    assert!(shard_file_path(&snapshot_path, DEFAULT_TENANT, 0).is_file());
+    assert!(
+        !snapshot_path.exists(),
+        "nothing is written at the bare path"
+    );
+    // The snapshot rotated the default tenant's log down to the window:
+    // the seed events it held are gone, so the log cannot grow without
+    // bound across snapshots.
+    assert_eq!(logged_points(&default_log), traffic);
+    server.shutdown();
+
+    // ---- Second life: snapshot set + replay log -> a new process. ----
+    let map = tenant_map(spec);
+    assert!(
+        map.restore_tenants(&snapshot_path).unwrap().is_empty(),
+        "the default tenant's set is not a named tenant"
+    );
+    let restored = map.restore_default(&snapshot_path).unwrap();
+    let stats = restored.restore_stats().unwrap();
+    assert_eq!((stats.shards, stats.generation), (1, 1));
+    assert_eq!(stats.replayed_events, traffic.len() as u64);
+    let server = serve(
+        "127.0.0.1:0",
+        server_config,
+        Arc::clone(&restored),
+        map,
+        ndjson::vector_parser(Some(2)),
+        "kd",
+    )
+    .unwrap();
+    let addr = server.local_addr();
+
+    // Byte-identical scoring at the restored generation.
+    let after = post(addr, "/score", score_body.as_bytes()).unwrap();
+    assert_eq!(after.header("x-mccatch-generation"), Some("1"));
+    assert_eq!(
+        after.text().unwrap(),
+        baseline,
+        "scores changed across restart"
+    );
+    let metrics = get(addr, "/metrics").unwrap();
+    let metrics = metrics.text().unwrap();
+    assert!(metrics.contains("mccatch_model_generation 1"), "{metrics}");
+    assert!(metrics.contains("mccatch_tenants 0"), "{metrics}");
+
+    // The stream position continues instead of restarting: the next
+    // accepted event takes the next sequence number.
+    let next = post(addr, "/ingest", b"[3004.0, 4.0]\n").unwrap();
+    let next_seq = next.text().unwrap().lines().map(seq_of).next().unwrap();
+    assert_eq!(next_seq, last_seq + 1);
+
+    // And the replayed window is the real one: it holds exactly the
+    // first life's traffic (shifted one slot by the event above — the
+    // window was already at capacity, so the oldest replayed event was
+    // evicted to admit it).
+    server.shutdown();
+    let window = restored.shard_detector(0).unwrap().window_points();
+    assert_eq!(window.len(), 101);
+    assert_eq!(window[..100], traffic[1..]);
+    assert_eq!(window[100], vec![3004.0, 4.0]);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The default tenant's 1-shard set lives next to the named tenants'
+/// sets under one base path: its name is reserved over the wire, it
+/// never lists as a named tenant, and a 2-shard map's `restore_tenants`
+/// skips it instead of failing on its shard count.
+#[test]
+fn the_default_name_is_reserved_and_restore_tenants_skips_its_set() {
+    let dir = std::env::temp_dir().join(format!("mccatch-default-set-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let snap = dir.join("model.mcsn");
+    let log = dir.join("ingest.ndjson");
+
+    let map = tenant_map(tenant_spec(2, &log));
+    let server = serve(
+        "127.0.0.1:0",
+        ServerConfig {
+            snapshot_path: Some(snap.clone()),
+            ..ServerConfig::default()
+        },
+        map.create_default(grid(0.0)).unwrap(),
+        Arc::clone(&map),
+        ndjson::vector_parser(Some(2)),
+        "kd",
+    )
+    .unwrap();
+    let addr = server.local_addr();
+    let mut conn = Connection::open(addr).unwrap();
+    let resp = conn.request("PUT", "/admin/tenants/default", b"").unwrap();
+    assert_eq!(resp.status, 400);
+    assert!(resp.text().unwrap().contains("reserved"));
+    let seed = ndjson_body(&grid(1000.0));
+    let resp = conn
+        .request("PUT", "/admin/tenants/acme", seed.as_bytes())
+        .unwrap();
+    assert_eq!(resp.status, 200);
+    let listed = conn.request("GET", "/admin/tenants", b"").unwrap();
+    assert_eq!(listed.text().unwrap(), "{\"tenants\": [\"acme\"]}\n");
+    assert_eq!(
+        post(addr, "/t/acme/admin/snapshot", b"").unwrap().status,
+        200
+    );
+    assert_eq!(post(addr, "/admin/snapshot", b"").unwrap().status, 200);
+    server.shutdown();
+    drop(map);
+
+    let map = tenant_map(tenant_spec(2, &log));
+    let restored = map.restore_tenants(&snap).unwrap();
+    assert_eq!(
+        restored.iter().map(|t| t.name.as_str()).collect::<Vec<_>>(),
+        ["acme"]
+    );
+    assert_eq!(restored[0].stats.shards, 2);
+    assert_eq!(map.names(), ["acme"]);
+    assert_eq!(map.restore_default(&snap).unwrap().shards(), 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------
+// Multi-tenant warm restart: the whole fleet survives a hard kill.
+// ---------------------------------------------------------------------
 
 /// Two tenants × two shards with distinct windows, snapshotted, then
 /// hard-killed mid-stream: a fresh process restores the whole fleet
@@ -230,13 +287,13 @@ fn multi_tenant_kill_and_restart_serves_byte_identical_scores() {
 
     // ---- First life: two tenants with distinct windows. ----
     let map = tenant_map(tenant_spec(2, &log));
-    let server = serve_tenants(
+    let server = serve(
         "127.0.0.1:0",
         server_config.clone(),
-        default_detector(),
+        map.create_default(grid(0.0)).unwrap(),
+        Arc::clone(&map),
         ndjson::vector_parser(Some(2)),
         "kd",
-        Arc::clone(&map),
     )
     .unwrap();
     let addr = server.local_addr();
@@ -293,13 +350,13 @@ fn multi_tenant_kill_and_restart_serves_byte_identical_scores() {
         assert!(t.stats.replayed_events > 0, "{t:?}");
         assert_eq!(t.stats.generation, 2, "two shards refit once each");
     }
-    let server = serve_tenants(
+    let server = serve(
         "127.0.0.1:0",
         server_config,
-        default_detector(),
+        map.create_default(grid(0.0)).unwrap(),
+        Arc::clone(&map),
         ndjson::vector_parser(Some(2)),
         "kd",
-        Arc::clone(&map),
     )
     .unwrap();
     let addr = server.local_addr();
@@ -374,7 +431,7 @@ fn snapshotted_tenant(tag: &str) -> (std::path::PathBuf, Arc<VecTenants>) {
 fn missing_shard_file_restore_is_a_typed_error() {
     let (dir, map) = snapshotted_tenant("missing-shard");
     let snap = dir.join("model.mcsn");
-    std::fs::remove_file(mccatch_tenant::shard_file_path(&snap, "t", 1)).unwrap();
+    std::fs::remove_file(shard_file_path(&snap, "t", 1)).unwrap();
 
     let err = map.restore_tenants(&snap).unwrap_err();
     assert!(
@@ -398,7 +455,7 @@ fn missing_shard_file_restore_is_a_typed_error() {
 fn corrupt_shard_file_restore_is_a_typed_error() {
     let (dir, map) = snapshotted_tenant("corrupt-shard");
     let snap = dir.join("model.mcsn");
-    let shard0 = mccatch_tenant::shard_file_path(&snap, "t", 0);
+    let shard0 = shard_file_path(&snap, "t", 0);
     let bytes = std::fs::read(&shard0).unwrap();
     std::fs::write(&shard0, &bytes[..bytes.len() - 7]).unwrap();
 
@@ -444,7 +501,7 @@ fn missing_manifest_restore_is_a_typed_partial_snapshot_error() {
 fn torn_final_replay_line_is_tolerated() {
     let (dir, map) = snapshotted_tenant("torn-log");
     let snap = dir.join("model.mcsn");
-    let log0 = mccatch_tenant::shard_file_path(&dir.join("ingest.ndjson"), "t", 0);
+    let log0 = shard_file_path(&dir.join("ingest.ndjson"), "t", 0);
     use std::io::Write as _;
     let mut f = std::fs::OpenOptions::new()
         .append(true)

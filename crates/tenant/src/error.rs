@@ -15,6 +15,12 @@ pub enum TenantError {
         /// The offending name.
         name: String,
     },
+    /// The name is reserved for the default tenant
+    /// ([`DEFAULT_TENANT`](crate::DEFAULT_TENANT)).
+    ReservedName {
+        /// The reserved name.
+        name: String,
+    },
     /// A tenant with this name already exists in the map.
     AlreadyExists {
         /// The contested name.
@@ -75,6 +81,10 @@ impl std::fmt::Display for TenantError {
             Self::InvalidName { name } => write!(
                 f,
                 "invalid tenant name {name:?}: must match [a-zA-Z0-9_-]{{1,64}}"
+            ),
+            Self::ReservedName { name } => write!(
+                f,
+                "tenant name {name:?} is reserved for the default tenant behind the bare endpoints"
             ),
             Self::AlreadyExists { name } => write!(f, "tenant {name:?} already exists"),
             Self::NotFound { name } => write!(f, "no such tenant: {name:?}"),

@@ -23,8 +23,11 @@
 //!   wall-clock cost is the slowest shard, not the sum.
 //! * **Ensemble scoring** — a query is scored by every shard model and
 //!   served the **minimum**: as normal as the shard that recognizes it
-//!   best. With one shard this is bit-identical to the single-store
-//!   serving path (property-tested).
+//!   best. With one shard this is bit-identical to a plain
+//!   `StreamDetector` (property-tested) — which is what lets the server's
+//!   bare endpoints serve a 1-shard *default tenant*
+//!   ([`TenantMap::create_default`], [`DEFAULT_TENANT`]) instead of a
+//!   separate single-detector path.
 //! * **Isolation & backpressure** — tenants share nothing but the
 //!   process: separate windows, schedules, generations. Each shard has
 //!   a bounded ingest admission ([`TenantSpec::ingest_queue`]); a hot
@@ -81,8 +84,9 @@
 //! ```
 //!
 //! The `mccatch` facade re-exports this crate as `mccatch::tenant`, and
-//! `mccatch-server` wires it to `/t/{tenant}/…` routing, tenant
-//! lifecycle endpoints, per-tenant snapshots, and labeled metrics.
+//! `mccatch-server` wires it to the bare endpoints (the default tenant),
+//! `/t/{tenant}/…` routing, tenant lifecycle endpoints, per-tenant
+//! snapshots, and labeled metrics.
 
 #![deny(missing_docs)]
 
@@ -95,7 +99,7 @@ mod tenant;
 
 pub use error::TenantError;
 pub use map::TenantMap;
-pub use name::{boot_tenant_name, valid_tenant_name};
+pub use name::{boot_tenant_name, valid_tenant_name, DEFAULT_TENANT};
 pub use persistence::{
     shard_file_path, tenant_manifest_path, ReplaySpec, RestoredTenant, TenantPersistError,
     TenantRestoreStats, TenantSnapshotStats,

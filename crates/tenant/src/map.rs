@@ -1,7 +1,7 @@
 //! The concurrent tenant registry.
 
 use crate::error::TenantError;
-use crate::name::valid_tenant_name;
+use crate::name::{valid_tenant_name, DEFAULT_TENANT};
 use crate::persistence::{
     discover_tenants, read_manifest, shard_file_path, tenant_manifest_path, DiscoveredTenant,
     RestoredTenant, TenantPersistError, TenantRestoreStats,
@@ -81,7 +81,9 @@ where
     /// Creates a tenant seeded with `seed`: the seed is partitioned
     /// across the shards by routing key and every shard fits in
     /// parallel, all **outside** the registry lock. Fails with
-    /// [`InvalidName`](TenantError::InvalidName) or
+    /// [`InvalidName`](TenantError::InvalidName),
+    /// [`ReservedName`](TenantError::ReservedName) (for
+    /// [`DEFAULT_TENANT`]), or
     /// [`AlreadyExists`](TenantError::AlreadyExists).
     pub fn create_seeded(
         &self,
@@ -90,6 +92,11 @@ where
     ) -> Result<Arc<Tenant<P, M, B>>, TenantError> {
         if !valid_tenant_name(name) {
             return Err(TenantError::InvalidName {
+                name: name.to_owned(),
+            });
+        }
+        if name == DEFAULT_TENANT {
+            return Err(TenantError::ReservedName {
                 name: name.to_owned(),
             });
         }
@@ -116,6 +123,49 @@ where
         exists(&map)?;
         map.insert(name.to_owned(), Arc::clone(&tenant));
         Ok(tenant)
+    }
+
+    /// Builds the default tenant ([`DEFAULT_TENANT`]) from `seed`: the
+    /// map's spec with **one** shard, whatever the spec's shard count —
+    /// so it scores bit for bit like a plain `StreamDetector` over the
+    /// same seed. It is returned, not registered: the serving layer
+    /// holds it beside the map for the bare endpoints.
+    pub fn create_default(&self, seed: Vec<P>) -> Result<Arc<Tenant<P, M, B>>, TenantError> {
+        Tenant::new(
+            DEFAULT_TENANT,
+            &self.detector,
+            &self.metric,
+            &self.builder,
+            &self.default_spec(),
+            seed,
+        )
+        .map(Arc::new)
+    }
+
+    /// Rebuilds the default tenant from its 1-shard snapshot set
+    /// (`{base}.default.0` + `{base}.default.manifest`) and, when the
+    /// spec configures replay logs, its `{log}.default.0` window — with
+    /// the same manifest, CRC, verified-load, and replay checks as
+    /// [`restore_tenants`](Self::restore_tenants). Returned, not
+    /// registered, like [`create_default`](Self::create_default). A
+    /// missing set is
+    /// [`MissingManifest`](TenantPersistError::MissingManifest).
+    pub fn restore_default(&self, base: &Path) -> Result<Arc<Tenant<P, M, B>>, TenantPersistError> {
+        let _span = mccatch_obs::Span::enter("tenant_restore");
+        let files = discover_tenants(base)?
+            .remove(DEFAULT_TENANT)
+            .unwrap_or_default();
+        let (tenant, _stats) =
+            self.restore_one(base, DEFAULT_TENANT, files, &self.default_spec())?;
+        Ok(Arc::new(tenant))
+    }
+
+    /// The spec of the default tenant: the map's, with one shard.
+    fn default_spec(&self) -> TenantSpec {
+        TenantSpec {
+            shards: 1,
+            ..self.spec.clone()
+        }
     }
 
     /// The tenant named `name`, if it exists.
@@ -167,7 +217,9 @@ where
     /// restored, in name order.
     ///
     /// Discovery scans `base`'s directory for `{base}.{tenant}.{shard}`
-    /// files. Each discovered tenant is validated against its
+    /// files, skipping the default tenant's set (see
+    /// [`restore_default`](Self::restore_default)). Each discovered
+    /// tenant is validated against its
     /// `{base}.{tenant}.manifest` — present
     /// ([`MissingManifest`](TenantPersistError::MissingManifest)
     /// otherwise: a manifest is written last, so its absence means a
@@ -190,19 +242,33 @@ where
     pub fn restore_tenants(&self, base: &Path) -> Result<Vec<RestoredTenant>, TenantPersistError> {
         let mut out = Vec::new();
         for (name, files) in discover_tenants(base)? {
+            if name == DEFAULT_TENANT {
+                continue;
+            }
             let _span = mccatch_obs::Span::enter("tenant_restore");
-            out.push(self.restore_one(base, &name, files)?);
+            let (tenant, stats) = self.restore_one(base, &name, files, &self.spec)?;
+            let mut map = self.tenants.write().unwrap_or_else(|e| e.into_inner());
+            if map.contains_key(&name) {
+                return Err(TenantPersistError::Tenant(TenantError::AlreadyExists {
+                    name,
+                }));
+            }
+            map.insert(name.clone(), Arc::new(tenant));
+            out.push(RestoredTenant { name, stats });
         }
         Ok(out)
     }
 
-    /// Validates one discovered tenant's snapshot set and rebuilds it.
+    /// Validates one discovered tenant's snapshot set against `spec`'s
+    /// shard count and rebuilds it, unregistered, with what the restore
+    /// recovered.
     fn restore_one(
         &self,
         base: &Path,
         name: &str,
         files: DiscoveredTenant,
-    ) -> Result<RestoredTenant, TenantPersistError> {
+        spec: &TenantSpec,
+    ) -> Result<(Tenant<P, M, B>, TenantRestoreStats), TenantPersistError> {
         let manifest_path = files
             .manifest
             .ok_or_else(|| TenantPersistError::MissingManifest {
@@ -210,11 +276,11 @@ where
                 path: tenant_manifest_path(base, name),
             })?;
         let manifest = read_manifest(&manifest_path, name)?;
-        if manifest.shards != self.spec.shards {
+        if manifest.shards != spec.shards {
             return Err(TenantPersistError::ShardCountMismatch {
                 tenant: name.to_owned(),
                 manifest: manifest.shards,
-                spec: self.spec.shards,
+                spec: spec.shards,
             });
         }
         if let Some((&shard, path)) = files.shards.range(manifest.shards..).next() {
@@ -262,9 +328,8 @@ where
                 .enumerate()
                 .map(|(shard, bytes)| {
                     let (metric, builder) = (self.metric.clone(), self.builder.clone());
-                    let config = self.spec.stream.clone();
-                    let replay_path = self
-                        .spec
+                    let config = spec.stream.clone();
+                    let replay_path = spec
                         .replay
                         .as_ref()
                         .map(|rs| shard_file_path(&rs.base, name, shard));
@@ -308,18 +373,7 @@ where
             generation: detectors.iter().map(|d| d.generation()).sum(),
             seq: detectors.iter().map(|d| d.checkpoint().seq).sum(),
         };
-        let tenant = Arc::new(Tenant::from_restored(name, &self.spec, detectors, stats)?);
-        let mut map = self.tenants.write().unwrap_or_else(|e| e.into_inner());
-        if map.contains_key(name) {
-            return Err(TenantPersistError::Tenant(TenantError::AlreadyExists {
-                name: name.to_owned(),
-            }));
-        }
-        map.insert(name.to_owned(), tenant);
-        Ok(RestoredTenant {
-            name: name.to_owned(),
-            stats,
-        })
+        Ok((Tenant::from_restored(name, spec, detectors, stats)?, stats))
     }
 }
 
@@ -388,6 +442,21 @@ mod tests {
                 "{bad:?}"
             );
         }
+        assert!(m.is_empty());
+    }
+
+    #[test]
+    fn the_default_tenant_has_one_shard_and_its_name_is_reserved() {
+        let m = map(3);
+        let default = m.create_default(grid(50, 0.0)).unwrap();
+        assert_eq!((default.name(), default.shards()), (DEFAULT_TENANT, 1));
+        assert!(m.is_empty(), "the default tenant is never registered");
+        assert_eq!(
+            m.create(DEFAULT_TENANT).err(),
+            Some(TenantError::ReservedName {
+                name: DEFAULT_TENANT.to_owned()
+            })
+        );
         assert!(m.is_empty());
     }
 

@@ -1,5 +1,15 @@
-//! Tenant naming: the wire-safe name grammar and the deterministic
-//! boot-time naming scheme.
+//! Tenant naming: the wire-safe name grammar, the reserved name of the
+//! default tenant, and the deterministic boot-time naming scheme.
+
+/// The name of the default tenant — the 1-shard tenant behind the bare
+/// `/score`, `/ingest`, … endpoints, persisted as `{snap}.default.0` +
+/// `{snap}.default.manifest` with its replay log at `{log}.default.0`.
+/// It lives beside a [`TenantMap`](crate::TenantMap), never in it, so
+/// the name is reserved: creating a named tenant called `default` fails
+/// with [`TenantError::ReservedName`](crate::TenantError::ReservedName),
+/// and [`TenantMap::restore_tenants`](crate::TenantMap::restore_tenants)
+/// skips its files.
+pub const DEFAULT_TENANT: &str = "default";
 
 /// Whether `name` is a legal tenant name: `[a-zA-Z0-9_-]{1,64}`.
 ///

@@ -5,8 +5,8 @@
 //!
 //! ## File layout
 //!
-//! Everything hangs off two operator-chosen base paths (the same paths
-//! the single-tenant server uses for its own snapshot and replay log):
+//! Everything hangs off two operator-chosen base paths (`--save-model`
+//! and `--replay-log` in the CLI):
 //!
 //! ```text
 //! {snap}.{tenant}.{shard}     one verified model snapshot per shard
@@ -14,16 +14,24 @@
 //! {log}.{tenant}.{shard}      NDJSON replay log per shard (window durability)
 //! ```
 //!
+//! The default tenant behind the bare endpoints uses the same layout
+//! under the reserved name [`DEFAULT_TENANT`](crate::DEFAULT_TENANT),
+//! always with one shard: `{snap}.default.0`, `{snap}.default.manifest`,
+//! and `{log}.default.0`. Nothing is ever written at `{snap}` or `{log}`
+//! themselves.
+//!
 //! Tenant names are `[a-zA-Z0-9_-]{1,64}` (no `.`, no separators), so
 //! the suffixes parse unambiguously and can never traverse paths.
 //!
 //! ## Why a manifest
 //!
-//! Each shard file is written atomically (temp + fsync + rename), but a
-//! crash between two shard writes leaves a *mixed* set: shard 0 from
-//! the new snapshot, shard 1 from the old one. The manifest closes that
-//! hole: it is written last, also atomically, and records the CRC-32 of
-//! every shard file it certifies. Restore refuses a tenant whose
+//! Each shard file is written atomically
+//! ([`atomic_write`](mccatch_persist::atomic_write): temp + fsync +
+//! rename + directory fsync), but a crash between two shard writes
+//! leaves a *mixed* set: shard 0 from the new snapshot, shard 1 from
+//! the old one. The manifest closes that hole: it is written last,
+//! also atomically, and records the CRC-32 of every shard file it
+//! certifies. Restore refuses a tenant whose
 //! manifest is missing ([`TenantPersistError::MissingManifest`]) or
 //! whose shard files do not match it
 //! ([`TenantPersistError::CrcMismatch`]) — a partial snapshot is a
@@ -31,16 +39,16 @@
 
 use crate::error::TenantError;
 use crate::name::valid_tenant_name;
-use mccatch_persist::{FsyncPolicy, PersistError, PersistPoint, ReplayWriter};
+use mccatch_persist::{atomic_write, FsyncPolicy, PersistError, PersistPoint, ReplayWriter};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// Where a tenant's shard replay logs live and how eagerly they sync.
 ///
 /// Configured once on the [`TenantSpec`](crate::TenantSpec): every
-/// tenant stamped from the spec logs each accepted event to
-/// `{base}.{tenant}.{shard}` so its sliding windows survive `kill -9`
-/// the way the default tenant's does.
+/// tenant stamped from the spec — the default tenant included — logs
+/// each accepted event to `{base}.{tenant}.{shard}` so its sliding
+/// windows survive `kill -9`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplaySpec {
     /// Base path; shard logs live at `{base}.{tenant}.{shard}`.
@@ -276,21 +284,6 @@ pub fn tenant_manifest_path(base: &Path, tenant: &str) -> PathBuf {
     append_os(base, &format!(".{tenant}.manifest"))
 }
 
-/// Writes `bytes` to `path` atomically: sibling `.tmp`, fsync, rename.
-/// A crash mid-write never leaves a torn file at `path`.
-pub(crate) fn write_bytes_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let tmp = append_os(path, ".tmp");
-    let write = || -> std::io::Result<()> {
-        let mut f = std::fs::File::create(&tmp)?;
-        std::io::Write::write_all(&mut f, bytes)?;
-        f.sync_all()?;
-        std::fs::rename(&tmp, path)
-    };
-    write().inspect_err(|_| {
-        let _ = std::fs::remove_file(&tmp);
-    })
-}
-
 /// A parsed `{base}.{tenant}.manifest`.
 pub(crate) struct Manifest {
     /// Shards the snapshot set was written with.
@@ -317,8 +310,7 @@ pub(crate) fn write_manifest_atomic(
         "{{\"tenant\":\"{tenant}\",\"shards\":{},\"crc32\":[{list}]}}\n",
         crcs.len()
     );
-    write_bytes_atomic(&path, line.as_bytes())
-        .map_err(|source| TenantPersistError::Io { path, source })
+    atomic_write(&path, line.as_bytes()).map_err(|source| TenantPersistError::Io { path, source })
 }
 
 /// Reads and validates the manifest at `path`, checking that it
@@ -405,7 +397,7 @@ fn expect_key<'a>(s: &'a str, key: &str) -> Result<&'a str, String> {
 /// retained window, `(tick, point)` in window order) and returns a
 /// fresh appender on the rotated log.
 ///
-/// The rewrite is atomic (sibling temp + fsync + rename), and seqs are
+/// The rewrite is atomic ([`ReplayWriter::rewrite`]), and seqs are
 /// back-filled so the last entry lands at `next_seq - 1` — a log
 /// rotated this way is **self-contained**: replaying it alone rebuilds
 /// the window and resumes the stream position, no older log needed.
@@ -419,32 +411,20 @@ pub(crate) fn rotate_replay_log<P: PersistPoint>(
     entries: &[(u64, P)],
     next_seq: u64,
 ) -> Result<ReplayWriter, TenantPersistError> {
-    let path = shard_file_path(&spec.base, tenant, shard);
-    let tmp = append_os(&path, ".tmp");
-    let shard_err = |source: PersistError| TenantPersistError::Shard {
+    let base_seq = next_seq.saturating_sub(entries.len() as u64);
+    let logged = entries
+        .iter()
+        .enumerate()
+        .map(|(i, (tick, point))| (base_seq + i as u64, *tick, point));
+    ReplayWriter::rewrite(
+        &shard_file_path(&spec.base, tenant, shard),
+        logged,
+        spec.fsync,
+    )
+    .map_err(|source| TenantPersistError::Shard {
         tenant: tenant.to_owned(),
         shard,
         source,
-    };
-    let rotate = || -> Result<ReplayWriter, TenantPersistError> {
-        // A stale temp from a crashed rotation must not be appended to.
-        let _ = std::fs::remove_file(&tmp);
-        let mut w = ReplayWriter::open(&tmp, FsyncPolicy::Never).map_err(shard_err)?;
-        let base_seq = next_seq.saturating_sub(entries.len() as u64);
-        for (i, (tick, point)) in entries.iter().enumerate() {
-            w.append(base_seq + i as u64, *tick, point)
-                .map_err(shard_err)?;
-        }
-        w.sync().map_err(shard_err)?;
-        drop(w);
-        std::fs::rename(&tmp, &path).map_err(|source| TenantPersistError::Io {
-            path: path.clone(),
-            source,
-        })?;
-        ReplayWriter::open(&path, spec.fsync).map_err(shard_err)
-    };
-    rotate().inspect_err(|_| {
-        let _ = std::fs::remove_file(&tmp);
     })
 }
 
@@ -461,8 +441,8 @@ pub(crate) struct DiscoveredTenant {
 /// and `{base}.{tenant}.manifest` files, grouped by tenant.
 ///
 /// Only well-formed names with valid tenant components are collected;
-/// anything else with the base prefix (the bare single-tenant snapshot,
-/// `.tmp` leftovers of crashed writes, non-UTF-8 names) is ignored —
+/// anything else with the base prefix (a bare `{base}` file, `.tmp`
+/// leftovers of crashed writes, non-UTF-8 names) is ignored —
 /// those are not part of any tenant snapshot set. Validation of what
 /// was found (manifest present, indices contiguous, CRCs matching) is
 /// the restore path's job.
@@ -573,13 +553,13 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let base = dir.join("snap.bin");
         for name in [
-            "snap.bin", // bare single-tenant snapshot: not a tenant file
+            "snap.bin", // a bare snapshot file: not a tenant file
             "snap.bin.a.0",
             "snap.bin.a.1",
             "snap.bin.a.manifest",
             "snap.bin.b.0",
             "snap.bin.a.0.tmp",     // crashed write leftover
-            "snap.bin.tmp",         // crashed single-tenant write
+            "snap.bin.tmp",         // crashed bare-path write
             "snap.bin.bad name.0",  // invalid tenant name
             "snap.bin.a.notashard", // neither index nor manifest
             "unrelated.txt",

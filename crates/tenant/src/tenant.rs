@@ -4,14 +4,14 @@
 
 use crate::error::TenantError;
 use crate::persistence::{
-    rotate_replay_log, shard_file_path, write_bytes_atomic, write_manifest_atomic, ReplaySpec,
-    TenantPersistError, TenantRestoreStats, TenantSnapshotStats,
+    rotate_replay_log, shard_file_path, write_manifest_atomic, ReplaySpec, TenantPersistError,
+    TenantRestoreStats, TenantSnapshotStats,
 };
 use crate::router::{RouteKey, ShardRouter};
 use mccatch_core::{McCatch, Model};
 use mccatch_index::IndexBuilder;
 use mccatch_metric::Metric;
-use mccatch_persist::{crc32, save_model, PersistPoint, ReplayWriter};
+use mccatch_persist::{atomic_write, crc32, save_model, PersistPoint, ReplayWriter};
 use mccatch_stream::{ScoredEvent, StreamConfig, StreamDetector, StreamStats};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -23,9 +23,10 @@ use std::sync::{Arc, Mutex};
 /// admission.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantSpec {
-    /// Shards per tenant (`>= 1`). One shard reproduces today's
-    /// single-store serving path bit for bit; more shards partition
-    /// ingest by routing key and serve the min-score ensemble.
+    /// Shards per tenant (`>= 1`). One shard scores bit for bit like a
+    /// plain `StreamDetector` (the default tenant always has one); more
+    /// shards partition ingest by routing key and serve the min-score
+    /// ensemble.
     pub shards: usize,
     /// Per-shard stream configuration: every shard owns its own
     /// sliding window, refit policy, and drift tracker.
@@ -116,9 +117,10 @@ impl Drop for Admission<'_> {
 /// Scoring fans out to every shard and serves the **ensemble minimum**:
 /// a query is as normal as the shard that recognizes it best, which for
 /// a routed-partition ensemble is the shard holding its neighborhood.
-/// With one shard this degenerates to exactly the single-store path —
+/// With one shard this degenerates to exactly a plain detector's path —
 /// one `snapshot_tagged()` and one `score_batch` call — and is
-/// bit-identical to it (property-tested).
+/// bit-identical to it (property-tested); the default tenant behind the
+/// server's bare endpoints relies on that.
 ///
 /// The tenant's **generation** is the sum of its shard generations:
 /// monotone (each shard's is), equal to the shard generation in the
@@ -272,8 +274,7 @@ where
                 },
             )?;
             let path = shard_file_path(base, &self.name, shard);
-            write_bytes_atomic(&path, &buf)
-                .map_err(|source| TenantPersistError::Io { path, source })?;
+            atomic_write(&path, &buf).map_err(|source| TenantPersistError::Io { path, source })?;
             crcs.push(crc32(&buf));
             if let (Some(log), Some(rs)) = (log.as_mut(), &self.replay) {
                 **log = rotate_replay_log(rs, &self.name, shard, &cp.entries, cp.seq)?;
@@ -316,7 +317,7 @@ where
     /// per shard, element-wise **minimum** across the shard scores, and
     /// the summed snapshot generations as the batch tag. With a single
     /// shard this is exactly one `snapshot_tagged()` + `score_batch`
-    /// pair — bit-identical to the single-store path.
+    /// pair — bit-identical to a plain detector.
     pub fn score_batch(&self, queries: &[P]) -> (Vec<f64>, u64) {
         let t0 = std::time::Instant::now();
         // When this batch runs inside a traced request, the fan-out

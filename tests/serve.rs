@@ -1,5 +1,6 @@
 //! Facade-level smoke test of the HTTP serving tier: the whole stack —
-//! `mccatch::server` over `mccatch::stream` over `mccatch::serve` —
+//! `mccatch::server` over `mccatch::tenant` over `mccatch::stream` over
+//! `mccatch::serve` —
 //! reached exclusively through the `mccatch` facade paths, on a real
 //! ephemeral localhost socket. (The exhaustive endpoint and
 //! malformed-input matrices live in `crates/server/tests`.)
@@ -8,7 +9,8 @@ use mccatch::index::KdTreeBuilder;
 use mccatch::metrics::Euclidean;
 use mccatch::server::client::{get, post};
 use mccatch::server::{ndjson, serve, ServerConfig};
-use mccatch::stream::{RefitPolicy, StreamConfig, StreamDetector};
+use mccatch::stream::{RefitPolicy, StreamConfig};
+use mccatch::tenant::{TenantMap, TenantSpec};
 use mccatch::McCatch;
 use std::sync::Arc;
 
@@ -19,29 +21,35 @@ fn the_facade_serves_scores_over_http() {
         .collect();
     seed.push(vec![500.0, 500.0]);
 
-    let detector = Arc::new(
-        StreamDetector::new(
-            StreamConfig {
-                capacity: 256,
-                policy: RefitPolicy::Manual,
-                ..StreamConfig::default()
-            },
+    let tenants = Arc::new(
+        TenantMap::new(
             McCatch::builder().build().unwrap(),
             Euclidean,
             KdTreeBuilder::default(),
-            seed,
+            TenantSpec {
+                stream: StreamConfig {
+                    capacity: 256,
+                    policy: RefitPolicy::Manual,
+                    ..StreamConfig::default()
+                },
+                ..TenantSpec::default()
+            },
         )
         .unwrap(),
     );
+    // The default tenant behind the bare endpoints: one shard.
+    let default = tenants.create_default(seed).unwrap();
     let server = serve(
         "127.0.0.1:0",
         ServerConfig::default(),
-        Arc::clone(&detector),
+        Arc::clone(&default),
+        tenants,
         ndjson::vector_parser(Some(2)),
         "kd",
     )
     .unwrap();
     let addr = server.local_addr();
+    let detector = default.shard_detector(0).unwrap();
 
     assert_eq!(get(addr, "/healthz").unwrap().status, 200);
 

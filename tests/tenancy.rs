@@ -1,5 +1,5 @@
 //! Facade-level smoke test of multi-tenant serving: `mccatch::tenant`'s
-//! `TenantMap` mounted over HTTP with `mccatch::server::serve_tenants`,
+//! `TenantMap` mounted over HTTP with `mccatch::server::serve`,
 //! reached exclusively through the `mccatch` facade paths on a real
 //! ephemeral localhost socket. (The exhaustive routing, isolation, and
 //! lifecycle matrices live in `crates/server/tests/tenants.rs`; the
@@ -8,8 +8,8 @@
 use mccatch::index::KdTreeBuilder;
 use mccatch::metrics::Euclidean;
 use mccatch::server::client::{get, post, Connection};
-use mccatch::server::{ndjson, serve_tenants, ServerConfig};
-use mccatch::stream::{RefitPolicy, StreamConfig, StreamDetector};
+use mccatch::server::{ndjson, serve, ServerConfig};
+use mccatch::stream::{RefitPolicy, StreamConfig};
 use mccatch::tenant::{boot_tenant_name, TenantMap, TenantSpec};
 use mccatch::McCatch;
 use std::sync::Arc;
@@ -39,22 +39,10 @@ fn stream_config() -> StreamConfig {
 
 #[test]
 fn the_facade_serves_isolated_tenants_over_http() {
-    let detector = McCatch::builder().build().unwrap();
-    // The default (unnamed) detector behind the bare endpoints.
-    let default = Arc::new(
-        StreamDetector::new(
-            stream_config(),
-            detector.clone(),
-            Euclidean,
-            KdTreeBuilder::default(),
-            grid(0.0),
-        )
-        .unwrap(),
-    );
     // A two-shard tenant map, with tenant "a" pre-created (the CLI's
     // `--tenants 1 --shards 2` shape).
     let tenants = TenantMap::new(
-        detector,
+        McCatch::builder().build().unwrap(),
         Euclidean,
         KdTreeBuilder::default(),
         TenantSpec {
@@ -66,14 +54,17 @@ fn the_facade_serves_isolated_tenants_over_http() {
     .unwrap();
     assert_eq!(boot_tenant_name(0), "a");
     let a = tenants.create_seeded("a", grid(0.0)).unwrap();
+    // The default tenant behind the bare endpoints: one shard, held
+    // beside the map rather than in it.
+    let default = tenants.create_default(grid(0.0)).unwrap();
 
-    let server = serve_tenants(
+    let server = serve(
         "127.0.0.1:0",
         ServerConfig::default(),
         Arc::clone(&default),
+        Arc::new(tenants),
         ndjson::vector_parser(Some(2)),
         "kd",
-        Arc::new(tenants),
     )
     .unwrap();
     let addr = server.local_addr();
@@ -110,8 +101,8 @@ fn the_facade_serves_isolated_tenants_over_http() {
     assert_eq!(scores("/t/a/score"), direct);
     assert_ne!(scores("/t/b/score"), direct);
 
-    // Ingest + refit on "b" never moves "a" (or the default detector).
-    let default_before = default.stats();
+    // Ingest + refit on "b" never moves "a" (or the default tenant).
+    let default_before = default.shard_stats();
     assert_eq!(
         post(addr, "/t/b/ingest", &ndjson_body(&grid(1000.0)))
             .unwrap()
@@ -121,7 +112,7 @@ fn the_facade_serves_isolated_tenants_over_http() {
     assert_eq!(post(addr, "/t/b/admin/refit", b"").unwrap().status, 200);
     assert_eq!(scores("/t/a/score"), direct);
     assert_eq!(a.generation(), 0);
-    assert_eq!(default.stats(), default_before);
+    assert_eq!(default.shard_stats(), default_before);
 
     // Delete "b": its routes go away, "a" keeps serving.
     assert_eq!(
