@@ -17,6 +17,7 @@
 //! `TenantMap::restore_tenants`) rides along as its own JSON row.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use mccatch_bench::append_bench_line;
 use mccatch_core::{McCatch, Model};
 use mccatch_data::http;
 use mccatch_index::{
@@ -72,22 +73,6 @@ where
     (save, load, bytes)
 }
 
-/// Appends one self-contained JSON line to `BENCH_persist.json` at the
-/// workspace root (created if missing), so downstream tooling can track
-/// the trajectory.
-fn append_json_line(json: String) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_persist.json");
-    let appended = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .and_then(|mut f| std::io::Write::write_all(&mut f, json.as_bytes()));
-    match appended {
-        Ok(()) => println!("persist_http10k: appended to {path}"),
-        Err(e) => eprintln!("persist_http10k: could not write {path}: {e}"),
-    }
-}
-
 /// Appends the headline codec numbers, one object per run.
 fn emit_json(rows: &[(&str, Duration, Duration, u64)]) {
     let backends: Vec<String> = rows
@@ -100,10 +85,13 @@ fn emit_json(rows: &[(&str, Duration, Duration, u64)]) {
             )
         })
         .collect();
-    append_json_line(format!(
-        "{{\"bench\": \"persist_codec\", \"workload\": \"http-10k\", \"points\": {N}, {}}}\n",
-        backends.join(", ")
-    ));
+    append_bench_line(
+        "BENCH_persist.json",
+        &format!(
+            "{{\"bench\": \"persist_codec\", \"workload\": \"http-10k\", \"points\": {N}, {}}}",
+            backends.join(", ")
+        ),
+    );
 }
 
 /// Headline tenant restore: two tenants × two kd shards on http-10k,
@@ -173,13 +161,16 @@ fn tenant_restore_headline() {
         save.as_secs_f64() * 1e3,
         restore.as_secs_f64() * 1e3,
     );
-    append_json_line(format!(
-        "{{\"bench\": \"persist_tenant_restore\", \"workload\": \"http-10k\", \
+    append_bench_line(
+        "BENCH_persist.json",
+        &format!(
+            "{{\"bench\": \"persist_tenant_restore\", \"workload\": \"http-10k\", \
          \"tenants\": {TENANTS}, \"shards\": {SHARDS}, \"save_ms\": {:.1}, \
-         \"restore_ms\": {:.1}, \"bytes\": {bytes}, \"replayed_events\": {replayed}}}\n",
-        save.as_secs_f64() * 1e3,
-        restore.as_secs_f64() * 1e3,
-    ));
+         \"restore_ms\": {:.1}, \"bytes\": {bytes}, \"replayed_events\": {replayed}}}",
+            save.as_secs_f64() * 1e3,
+            restore.as_secs_f64() * 1e3,
+        ),
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -21,6 +21,7 @@
 //! stay within run-to-run noise of the untraced number.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use mccatch_bench::append_bench_line;
 use mccatch_core::McCatch;
 use mccatch_data::http;
 use mccatch_index::KdTreeBuilder;
@@ -184,7 +185,6 @@ fn emit_json(
     with_refit: (u64, Duration, u64, HistogramSnapshot),
     traced: (u64, Duration, HistogramSnapshot),
 ) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_server.json");
     let (so_events, so_time, so_lat) = score_only;
     let (wr_events, wr_time, wr_refits, wr_lat) = with_refit;
     let (tr_events, tr_time, tr_lat) = traced;
@@ -203,7 +203,7 @@ fn emit_json(
          \"with_concurrent_refit\": {{\"events\": {wr_events}, \"secs\": {:.4}, \
          \"events_per_sec\": {:.0}, \"refits_completed\": {wr_refits}, {}}}, \
          \"score_only_traced\": {{\"events\": {tr_events}, \"secs\": {:.4}, \
-         \"events_per_sec\": {:.0}, {}}}}}\n",
+         \"events_per_sec\": {:.0}, {}}}}}",
         so_time.as_secs_f64(),
         so_events as f64 / so_time.as_secs_f64().max(1e-9),
         lat_ms(&so_lat),
@@ -214,17 +214,7 @@ fn emit_json(
         tr_events as f64 / tr_time.as_secs_f64().max(1e-9),
         lat_ms(&tr_lat),
     );
-    // Append, never truncate: the file is the accumulating perf
-    // trajectory across sessions, one JSON object per line.
-    let appended = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .and_then(|mut f| std::io::Write::write_all(&mut f, json.as_bytes()));
-    match appended {
-        Ok(()) => println!("server_http10k: appended to {path}"),
-        Err(e) => eprintln!("server_http10k: could not write {path}: {e}"),
-    }
+    append_bench_line("BENCH_server.json", &json);
 }
 
 fn bench_server_throughput(c: &mut Criterion) {

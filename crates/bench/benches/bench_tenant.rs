@@ -17,6 +17,7 @@
 //! trajectory accumulates across sessions.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use mccatch_bench::append_bench_line;
 use mccatch_core::McCatch;
 use mccatch_data::http;
 use mccatch_index::KdTreeBuilder;
@@ -143,7 +144,6 @@ fn hammer(addr: SocketAddr, n: usize, bodies: &Arc<Vec<String>>) -> (u64, Durati
 /// workspace root (created if missing), one self-contained JSON object
 /// per run so downstream tooling can track the trajectory.
 fn emit_json(headline: &[(usize, u64, Duration)]) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_tenant.json");
     let runs: Vec<String> = headline
         .iter()
         .map(|(n, events, time)| {
@@ -158,21 +158,10 @@ fn emit_json(headline: &[(usize, u64, Duration)]) {
     let json = format!(
         "{{\"bench\": \"tenant_loopback\", \"workload\": \"http-10k\", \
          \"window\": {WINDOW}, \"batch_lines\": {BATCH_LINES}, \
-         \"total_requests\": {TOTAL_REQUESTS}, \"cores\": {}, \"runs\": [{}]}}\n",
-        std::thread::available_parallelism().map_or(1, |p| p.get()),
+         \"total_requests\": {TOTAL_REQUESTS}, \"runs\": [{}]}}",
         runs.join(", "),
     );
-    // Append, never truncate: the file is the accumulating perf
-    // trajectory across sessions, one JSON object per line.
-    let appended = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .and_then(|mut f| std::io::Write::write_all(&mut f, json.as_bytes()));
-    match appended {
-        Ok(()) => println!("tenant_http10k: appended to {path}"),
-        Err(e) => eprintln!("tenant_http10k: could not write {path}: {e}"),
-    }
+    append_bench_line("BENCH_tenant.json", &json);
 }
 
 fn bench_tenant_throughput(c: &mut Criterion) {

@@ -269,6 +269,44 @@ pub fn cell(v: f64) -> String {
     }
 }
 
+/// Appends one JSON object line to the repo-root perf ledger `file`
+/// (`BENCH_server.json`, …), created if missing and never truncated:
+/// each ledger is the accumulating trajectory across runs. The line is
+/// stamped with the host — `cores` and the `cpu` model — so numbers
+/// from different machines cannot pass for a regression or a win.
+pub fn append_bench_line(file: &str, json: &str) {
+    let body = json
+        .trim_end()
+        .strip_suffix('}')
+        .expect("a bench ledger line is one JSON object");
+    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, v)| v.trim().to_owned())
+        })
+        .unwrap_or_else(|| "unknown".to_owned());
+    let line = format!(
+        "{body}, \"cores\": {cores}, \"cpu\": \"{}\"}}\n",
+        mccatch_obs::json_escape(&cpu)
+    );
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(file);
+    let appended = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(&path)
+        .and_then(|mut f| std::io::Write::write_all(&mut f, line.as_bytes()));
+    match appended {
+        Ok(()) => println!("appended to {}", path.display()),
+        Err(e) => eprintln!("could not write {}: {e}", path.display()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

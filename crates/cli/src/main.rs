@@ -4,7 +4,7 @@
 //! microclusters plus, optionally, per-point scores. Two input modes:
 //!
 //! * `--mode csv` (default): one point per line, comma/whitespace-
-//!   separated floats; Euclidean distance.
+//!   separated finite floats; Euclidean distance.
 //! * `--mode lines`: one string per line; Levenshtein distance (the
 //!   paper's "L-Edit" setup for names).
 //!
@@ -351,7 +351,7 @@ fn parse_cli() -> Result<Cli, String> {
                             [--save-model PATH] [--load-model PATH] [--replay-log PATH]\n\
                             [--access-log PATH|off] [--slow-ms N]\n\
                             [--trace-slow-ms N] [--trace-capacity N]\n\n\
-                     csv mode:   one point per line, comma/whitespace separated floats\n\
+                     csv mode:   one point per line, comma/whitespace separated finite floats\n\
                      lines mode: one string per line, Levenshtein distance\n\n\
                      --index picks the backend (default: kd for csv, slim for lines;\n\
                              kd is Euclidean-only so it requires csv mode)\n\
@@ -441,11 +441,17 @@ fn open_events(input: &Option<String>) -> Result<Box<dyn BufRead>, String> {
     }
 }
 
-/// Parses one csv-mode line into a point.
+/// Parses one csv-mode line into a point. CSV keeps Rust's float
+/// syntax (`.5` and `+1` are fine; this is not JSON), but a coordinate
+/// must be finite: `inf`, `NaN` and overflow like `1e999` are refused.
 fn parse_point(line: &str) -> Result<Vec<f64>, String> {
     line.split(|c: char| c == ',' || c.is_whitespace() || c == ';')
         .filter(|t| !t.is_empty())
-        .map(|t| t.parse().map_err(|e| format!("{e}")))
+        .map(|t| match t.parse::<f64>() {
+            Ok(v) if v.is_finite() => Ok(v),
+            Ok(_) => Err(format!("non-finite coordinate {t:?}")),
+            Err(e) => Err(format!("{e}")),
+        })
         .collect()
 }
 
@@ -1490,7 +1496,10 @@ mod tests {
 
     #[test]
     fn parse_csv_rejects_non_numeric() {
-        assert!(parse_csv("1,notanumber\n").is_err());
+        for bad in ["1,notanumber\n", "inf,1\n", "NaN,1\n", "+1e999,1\n"] {
+            let err = parse_csv(bad).unwrap_err();
+            assert!(err.starts_with("line 1: "), "{bad:?}: {err}");
+        }
     }
 
     #[test]

@@ -34,6 +34,10 @@
 //!   Chrome trace-event JSON (`GET /admin/debug/trace`). W3C-style
 //!   `traceparent` headers are parsed and echoed so the trace id ties
 //!   into the caller's distributed context.
+//! * [`json`] — the workspace's one strict JSON reader. Paired with
+//!   [`json_escape`] on the write side, it decodes every JSON document
+//!   the stack reads: NDJSON request lines, replay-log lines, and tenant
+//!   manifests.
 //!
 //! ```
 //! use mccatch_obs::{Histogram, Span};
@@ -54,6 +58,7 @@
 #![deny(missing_docs)]
 
 mod hist;
+pub mod json;
 mod log;
 mod span;
 pub mod trace;

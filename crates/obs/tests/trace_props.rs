@@ -1,232 +1,16 @@
 //! Property tests for the Chrome trace-event export
 //! ([`chrome_trace_json`]): for arbitrary span forests — including
 //! intervals that do *not* nest and attribute strings full of JSON
-//! metacharacters — the export must be valid JSON (checked with a
-//! hand-rolled parser; the workspace has no serde), every trace's span
-//! ids must stay unique, and every child's `[ts, ts+dur]` interval must
+//! metacharacters — the export must be valid JSON (checked with the
+//! workspace's strict reader, [`mccatch_obs::json`]), every trace's
+//! span ids must stay unique, and every child's `[ts, ts+dur]` interval must
 //! nest inside its parent's, which is what makes the Perfetto flame
 //! layout well-formed.
 
+use mccatch_obs::json::{parse, Json};
 use mccatch_obs::trace::{chrome_trace_json, SpanRecord, TraceData};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
-
-// ---------------------------------------------------------------------
-// A minimal JSON parser — strict enough for validity checking.
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    fn str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn parse(text: &'a str) -> Result<Json, String> {
-        let mut p = Parser {
-            b: text.as_bytes(),
-            i: 0,
-        };
-        let v = p.value()?;
-        p.ws();
-        if p.i != p.b.len() {
-            return Err(format!("trailing bytes at {}", p.i));
-        }
-        Ok(v)
-    }
-
-    fn ws(&mut self) {
-        while self
-            .b
-            .get(self.i)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.i += 1;
-        }
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.b.get(self.i) == Some(&c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at {}", c as char, self.i))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.ws();
-        match self.b.get(self.i) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(_) => self.number(),
-            None => Err("unexpected end of input".to_owned()),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, value: Json) -> Result<Json, String> {
-        if self.b[self.i..].starts_with(lit.as_bytes()) {
-            self.i += lit.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at {}", self.i))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.i;
-        while self
-            .b
-            .get(self.i)
-            .is_some_and(|b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.i += 1;
-        }
-        std::str::from_utf8(&self.b[start..self.i])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.b.get(self.i) {
-                None => return Err("unterminated string".to_owned()),
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.i += 1;
-                    match self.b.get(self.i) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .b
-                                .get(self.i + 1..self.i + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                            // Surrogates never appear: the escaper only
-                            // emits \u for ASCII control characters.
-                            out.push(char::from_u32(code).ok_or(format!("bad \\u{hex} escape"))?);
-                            self.i += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.i += 1;
-                }
-                Some(&c) if c < 0x20 => {
-                    return Err(format!("unescaped control byte {c:#x}"));
-                }
-                Some(_) => {
-                    // Copy one UTF-8 scalar (input is a &str, so this
-                    // is always well-formed).
-                    let rest = std::str::from_utf8(&self.b[self.i..])
-                        .map_err(|e| format!("invalid UTF-8 mid-string: {e}"))?;
-                    let ch = rest.chars().next().unwrap();
-                    out.push(ch);
-                    self.i += ch.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.ws();
-        if self.b.get(self.i) == Some(&b']') {
-            self.i += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.ws();
-            match self.b.get(self.i) {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(Json::Arr(items));
-                }
-                other => return Err(format!("bad array separator {other:?}")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.ws();
-        if self.b.get(self.i) == Some(&b'}') {
-            self.i += 1;
-            return Ok(Json::Obj(pairs));
-        }
-        loop {
-            self.ws();
-            let key = self.string()?;
-            self.ws();
-            self.expect(b':')?;
-            let value = self.value()?;
-            pairs.push((key, value));
-            self.ws();
-            match self.b.get(self.i) {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                other => return Err(format!("bad object separator {other:?}")),
-            }
-        }
-    }
-}
 
 // ---------------------------------------------------------------------
 // Strategies: arbitrary span forests, hostile attribute strings.
@@ -310,18 +94,18 @@ fn track_spans(events: &[Json], tid: f64) -> Vec<(u64, u64, f64, f64)> {
     events
         .iter()
         .filter(|e| {
-            e.get("ph").and_then(Json::str) == Some("X")
-                && e.get("tid").and_then(Json::num) == Some(tid)
+            e.get("ph").and_then(Json::as_str) == Some("X")
+                && e.get("tid").and_then(Json::as_f64) == Some(tid)
         })
         .map(|e| {
             let args = e.get("args").expect("X event has args");
-            let ts = e.get("ts").and_then(Json::num).expect("ts");
-            let dur = e.get("dur").and_then(Json::num).expect("dur");
+            let ts = e.get("ts").and_then(Json::as_f64).expect("ts");
+            let dur = e.get("dur").and_then(Json::as_f64).expect("dur");
             (
-                args.get("span_id").and_then(Json::num).expect("span_id") as u64,
+                args.get("span_id").and_then(Json::as_u64).expect("span_id"),
                 args.get("parent_id")
-                    .and_then(Json::num)
-                    .expect("parent_id") as u64,
+                    .and_then(Json::as_u64)
+                    .expect("parent_id"),
                 ts,
                 ts + dur,
             )
@@ -335,16 +119,16 @@ proptest! {
     #[test]
     fn export_is_valid_json_with_one_track_per_trace(traces in traces()) {
         let json = chrome_trace_json(traces.iter());
-        let doc = Parser::parse(&json).map_err(TestCaseError::fail)?;
+        let doc = parse(&json).map_err(TestCaseError::fail)?;
 
         prop_assert_eq!(
-            doc.get("displayTimeUnit").and_then(Json::str),
+            doc.get("displayTimeUnit").and_then(Json::as_str),
             Some("ms")
         );
-        let events = match doc.get("traceEvents") {
-            Some(Json::Arr(events)) => events,
-            other => return Err(TestCaseError::fail(format!("traceEvents: {other:?}"))),
-        };
+        let events = doc
+            .get("traceEvents")
+            .and_then(Json::as_array)
+            .ok_or(TestCaseError::fail("traceEvents is not an array"))?;
         // One thread-name metadata event plus one X event per span, on
         // the track numbered after the trace (tid = index + 1).
         let expected: usize = traces.iter().map(|t| 1 + t.spans.len()).sum();
@@ -352,13 +136,13 @@ proptest! {
         for (i, trace) in traces.iter().enumerate() {
             let tid = (i + 1) as f64;
             let meta = events.iter().find(|e| {
-                e.get("ph").and_then(Json::str) == Some("M")
-                    && e.get("tid").and_then(Json::num) == Some(tid)
+                e.get("ph").and_then(Json::as_str) == Some("M")
+                    && e.get("tid").and_then(Json::as_f64) == Some(tid)
             });
             let meta = meta.ok_or(TestCaseError::fail(format!("no metadata for tid {tid}")))?;
             let want_id = format!("{:032x}", trace.trace_id);
             prop_assert_eq!(
-                meta.get("args").and_then(|a| a.get("trace_id")).and_then(Json::str),
+                meta.get("args").and_then(|a| a.get("trace_id")).and_then(Json::as_str),
                 Some(want_id.as_str())
             );
             prop_assert_eq!(track_spans(events, tid).len(), trace.spans.len());
@@ -368,11 +152,11 @@ proptest! {
     #[test]
     fn span_ids_are_unique_and_children_nest_inside_parents(traces in traces()) {
         let json = chrome_trace_json(traces.iter());
-        let doc = Parser::parse(&json).map_err(TestCaseError::fail)?;
-        let events = match doc.get("traceEvents") {
-            Some(Json::Arr(events)) => events,
-            other => return Err(TestCaseError::fail(format!("traceEvents: {other:?}"))),
-        };
+        let doc = parse(&json).map_err(TestCaseError::fail)?;
+        let events = doc
+            .get("traceEvents")
+            .and_then(Json::as_array)
+            .ok_or(TestCaseError::fail("traceEvents is not an array"))?;
         for i in 0..traces.len() {
             let spans = track_spans(events, (i + 1) as f64);
             let ids: BTreeSet<u64> = spans.iter().map(|&(id, ..)| id).collect();

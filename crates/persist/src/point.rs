@@ -2,6 +2,7 @@
 
 use crate::codec::{read_f64, read_u32, write_f64, write_u32};
 use crate::error::PersistError;
+use mccatch_obs::json::Json;
 use std::io::{Read, Write};
 
 /// A point type with a stable on-disk encoding — the bound that makes a
@@ -35,13 +36,15 @@ pub trait PersistPoint: Sized {
     /// `point` field of a replay-log line.
     fn write_json(&self, out: &mut String);
 
-    /// Parses the JSON form produced by
-    /// [`write_json`](Self::write_json).
+    /// Decodes the JSON form produced by
+    /// [`write_json`](Self::write_json) from a value read by
+    /// [`mccatch_obs::json::parse`]: the one point decoder of the replay
+    /// log and of the NDJSON wire's JSON lines.
     ///
     /// # Errors
-    /// A human-readable description of the malformation (the replay
-    /// reader wraps it with the line number).
-    fn parse_json(s: &str) -> Result<Self, String>;
+    /// A human-readable description of the mismatch (the replay reader
+    /// wraps it with the line number, the wire with the request line's).
+    fn from_json(value: &Json<'_>) -> Result<Self, String>;
 }
 
 impl PersistPoint for Vec<f64> {
@@ -88,29 +91,21 @@ impl PersistPoint for Vec<f64> {
             }
             // Rust's float Display is the shortest decimal that parses
             // back to the same bits, so the log round-trips exactly.
-            // Non-finite values render as `inf`/`-inf`/`NaN` — not
-            // strict JSON, but `f64::from_str` reads them back.
+            // Non-finite values render as `inf`/`NaN`, which are not
+            // JSON: the reader refuses them.
             out.push_str(&format!("{v}"));
         }
         out.push(']');
     }
 
-    fn parse_json(s: &str) -> Result<Self, String> {
-        let s = s.trim();
-        let inner = s
-            .strip_prefix('[')
-            .and_then(|rest| rest.strip_suffix(']'))
-            .ok_or_else(|| "vector point is not a JSON array".to_owned())?;
-        let inner = inner.trim();
-        if inner.is_empty() {
-            return Ok(Vec::new());
-        }
-        inner
-            .split(',')
+    fn from_json(value: &Json<'_>) -> Result<Self, String> {
+        value
+            .as_array()
+            .ok_or("vector point is not a JSON array")?
+            .iter()
             .map(|c| {
-                c.trim()
-                    .parse::<f64>()
-                    .map_err(|e| format!("bad vector component {c:?}: {e}"))
+                c.as_f64()
+                    .ok_or_else(|| format!("not a finite number: {c:?}"))
             })
             .collect()
     }
@@ -152,49 +147,18 @@ impl PersistPoint for String {
         out.push('"');
     }
 
-    fn parse_json(s: &str) -> Result<Self, String> {
-        let s = s.trim();
-        let inner = s
-            .strip_prefix('"')
-            .and_then(|rest| rest.strip_suffix('"'))
-            .ok_or_else(|| "string point is not a JSON string".to_owned())?;
-        let mut out = String::with_capacity(inner.len());
-        let mut chars = inner.chars();
-        while let Some(c) = chars.next() {
-            if c != '\\' {
-                out.push(c);
-                continue;
-            }
-            match chars.next() {
-                Some('"') => out.push('"'),
-                Some('\\') => out.push('\\'),
-                Some('/') => out.push('/'),
-                Some('n') => out.push('\n'),
-                Some('r') => out.push('\r'),
-                Some('t') => out.push('\t'),
-                Some('b') => out.push('\u{8}'),
-                Some('f') => out.push('\u{c}'),
-                Some('u') => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    if hex.len() != 4 {
-                        return Err("truncated \\u escape".to_owned());
-                    }
-                    let code =
-                        u32::from_str_radix(&hex, 16).map_err(|_| format!("bad \\u{hex}"))?;
-                    let c = char::from_u32(code)
-                        .ok_or_else(|| format!("\\u{hex} is not a scalar value"))?;
-                    out.push(c);
-                }
-                other => return Err(format!("bad escape {other:?}")),
-            }
-        }
-        Ok(out)
+    fn from_json(value: &Json<'_>) -> Result<Self, String> {
+        value
+            .as_str()
+            .map(str::to_owned)
+            .ok_or_else(|| "string point is not a JSON string".to_owned())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mccatch_obs::json::parse;
 
     #[test]
     fn vector_binary_round_trip_is_bit_exact() {
@@ -218,7 +182,7 @@ mod tests {
         let tricky = vec![0.1 + 0.2, -0.0, 1.0 / 3.0, 123456789.12345679, 5e-324];
         let mut json = String::new();
         tricky.write_json(&mut json);
-        let back = Vec::<f64>::parse_json(&json).unwrap();
+        let back = Vec::<f64>::from_json(&parse(&json).unwrap()).unwrap();
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&back), bits(&tricky));
     }
@@ -246,7 +210,7 @@ mod tests {
             assert_eq!(String::read_bin(&mut &buf[..], 0).unwrap(), s);
             let mut json = String::new();
             s.write_json(&mut json);
-            assert_eq!(String::parse_json(&json).unwrap(), s);
+            assert_eq!(String::from_json(&parse(&json).unwrap()).unwrap(), s);
         }
     }
 

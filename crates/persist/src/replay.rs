@@ -10,14 +10,17 @@
 //! ```
 //!
 //! Floats are written with Rust's shortest round-trip formatting, so
-//! replayed points are **bit-identical** to the ingested ones. The
-//! reader tolerates a truncated or malformed *final* line — the
-//! expected shape of a crash mid-append — but reports any earlier
-//! malformation as a hard [`PersistError::Replay`], since silently
-//! skipping interior events would corrupt the window.
+//! replayed points are **bit-identical** to the ingested ones. Lines are
+//! read as strict JSON by [`mccatch_obs::json`], the same grammar the
+//! NDJSON wire uses. The reader tolerates a truncated or malformed
+//! *final* line — the expected shape of a crash mid-append, which may
+//! tear a multi-byte character — but reports any earlier malformation
+//! as a hard [`PersistError::Replay`], since silently skipping interior
+//! events would corrupt the window.
 
 use crate::error::PersistError;
 use crate::point::PersistPoint;
+use mccatch_obs::json::{self, Json};
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
@@ -155,26 +158,29 @@ impl<R: BufRead> ReplayReader<R> {
 
     /// Reads every event in the log, in order.
     ///
-    /// A malformed or truncated **final** line is tolerated (dropped) —
-    /// that is what a crash mid-append leaves behind. A malformed line
-    /// *followed by more content*, or a `tick` that regresses, is a
-    /// hard [`PersistError::Replay`].
+    /// A malformed, truncated or non-UTF-8 **final** line is tolerated
+    /// (dropped) — that is what a crash mid-append leaves behind. A
+    /// malformed line *followed by more content*, or a `tick` that
+    /// regresses, is a hard [`PersistError::Replay`].
     pub fn read_all<P: PersistPoint>(mut self) -> Result<Vec<ReplayEntry<P>>, PersistError> {
-        let mut text = String::new();
+        let mut bytes = Vec::new();
         self.inner
-            .read_to_string(&mut text)
+            .read_to_end(&mut bytes)
             .map_err(PersistError::Io)?;
-        let lines: Vec<(u64, &str)> = text
-            .lines()
+        let lines: Vec<(u64, &[u8])> = bytes
+            .split(|&b| b == b'\n')
             .enumerate()
             .map(|(i, l)| (i as u64 + 1, l))
-            .filter(|(_, l)| !l.trim().is_empty())
+            .filter(|(_, l)| !l.iter().all(u8::is_ascii_whitespace))
             .collect();
         let last_idx = lines.len().checked_sub(1);
         let mut entries = Vec::with_capacity(lines.len());
         let mut last_tick: Option<u64> = None;
         for (i, (line_no, line)) in lines.iter().enumerate() {
-            match parse_line::<P>(line) {
+            let parsed = std::str::from_utf8(line)
+                .map_err(|e| format!("invalid UTF-8: {e}"))
+                .and_then(parse_line::<P>);
+            match parsed {
                 Ok((seq, tick, point)) => {
                     if let Some(prev) = last_tick {
                         if tick < prev {
@@ -204,41 +210,17 @@ impl<R: BufRead> ReplayReader<R> {
 
 /// Parses one `{"seq":N,"tick":T,"point":<json>}` line.
 fn parse_line<P: PersistPoint>(line: &str) -> Result<(u64, u64, P), String> {
-    let s = line.trim();
-    let s = s
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or("line is not a JSON object")?;
-    let s = expect_key(s, "seq")?;
-    let (seq_str, s) = s.split_once(',').ok_or("missing ',' after seq")?;
-    let seq = seq_str
-        .trim()
-        .parse::<u64>()
-        .map_err(|e| format!("bad seq {seq_str:?}: {e}"))?;
-    let s = expect_key(s, "tick")?;
-    let (tick_str, s) = s.split_once(',').ok_or("missing ',' after tick")?;
-    let tick = tick_str
-        .trim()
-        .parse::<u64>()
-        .map_err(|e| format!("bad tick {tick_str:?}: {e}"))?;
-    let s = expect_key(s, "point")?;
-    let point = P::parse_json(s)?;
+    let v = json::parse(line)?;
+    let seq = v
+        .get("seq")
+        .and_then(Json::as_u64)
+        .ok_or("missing or non-integer \"seq\"")?;
+    let tick = v
+        .get("tick")
+        .and_then(Json::as_u64)
+        .ok_or("missing or non-integer \"tick\"")?;
+    let point = P::from_json(v.get("point").ok_or("missing \"point\"")?)?;
     Ok((seq, tick, point))
-}
-
-/// Consumes `"key":` (with optional surrounding whitespace) from the
-/// front of `s`.
-fn expect_key<'a>(s: &'a str, key: &str) -> Result<&'a str, String> {
-    let s = s.trim_start();
-    let s = s
-        .strip_prefix('"')
-        .and_then(|s| s.strip_prefix(key))
-        .and_then(|s| s.strip_prefix('"'))
-        .ok_or_else(|| format!("missing \"{key}\" field"))?;
-    let s = s.trim_start();
-    s.strip_prefix(':')
-        .ok_or_else(|| format!("missing ':' after \"{key}\""))
-        .map(str::trim_start)
 }
 
 #[cfg(test)]
@@ -258,7 +240,7 @@ mod tests {
 
         let events = vec![
             (0u64, 0u64, vec![0.1 + 0.2, -0.0]),
-            (1, 3, vec![f64::INFINITY, 5e-324]),
+            (1, 3, vec![f64::MAX, 5e-324]),
             (2, 3, vec![1.0 / 3.0, -123.456]),
         ];
         let mut w = ReplayWriter::open(&path, FsyncPolicy::EveryN(2)).unwrap();
@@ -281,46 +263,62 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Reads an in-memory log.
+    fn read<P: PersistPoint>(log: impl AsRef<[u8]>) -> Result<Vec<ReplayEntry<P>>, PersistError> {
+        ReplayReader::new(log.as_ref()).read_all()
+    }
+
     #[test]
     fn tolerates_a_torn_final_line_only() {
         let log = "{\"seq\":0,\"tick\":0,\"point\":[1]}\n{\"seq\":1,\"tick\":1,\"point\":[2";
-        let entries = ReplayReader::new(log.as_bytes())
-            .read_all::<Vec<f64>>()
-            .unwrap();
+        let entries = read::<Vec<f64>>(log).unwrap();
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].point, vec![1.0]);
 
         let log = "{\"seq\":0,\"tick\":0,\"point\":[1\n{\"seq\":1,\"tick\":1,\"point\":[2]}\n";
-        let err = ReplayReader::new(log.as_bytes())
-            .read_all::<Vec<f64>>()
-            .unwrap_err();
+        let err = read::<Vec<f64>>(log).unwrap_err();
         assert!(matches!(err, PersistError::Replay { line: 1, .. }));
+
+        // A crash can tear a string point inside a multi-byte character:
+        // "José" cut after the first byte of 'é'.
+        let whole = "{\"seq\":0,\"tick\":0,\"point\":\"José\"}\n";
+        let torn = &whole.as_bytes()[..whole.find('é').unwrap() + 1];
+        let entries = read::<String>([whole.as_bytes(), torn].concat()).unwrap();
+        assert_eq!(entries.len(), 1);
+        assert_eq!(entries[0].point, "José");
+        let err = read::<String>([torn, b"\n", whole.as_bytes()].concat()).unwrap_err();
+        assert!(matches!(err, PersistError::Replay { line: 1, .. }), "{err}");
+    }
+
+    #[test]
+    fn lines_must_be_strict_json() {
+        let good = "{\"seq\":1,\"tick\":1,\"point\":[2]}\n";
+        for bad in ["[inf]", "[NaN]", "[+1]"] {
+            let log = format!("{{\"seq\":0,\"tick\":0,\"point\":{bad}}}\n{good}");
+            let err = read::<Vec<f64>>(log).unwrap_err();
+            assert!(
+                matches!(err, PersistError::Replay { line: 1, .. }),
+                "{bad}: {err}"
+            );
+        }
+        let log =
+            "{\"seq\":0,\"tick\":0,\"point\":\"a\"b\"}\n{\"seq\":1,\"tick\":1,\"point\":\"c\"}\n";
+        let err = read::<String>(log).unwrap_err();
+        assert!(matches!(err, PersistError::Replay { line: 1, .. }), "{err}");
     }
 
     #[test]
     fn rejects_tick_regressions() {
         let log = "{\"seq\":0,\"tick\":5,\"point\":[1]}\n{\"seq\":1,\"tick\":4,\"point\":[2]}\n";
-        let err = ReplayReader::new(log.as_bytes())
-            .read_all::<Vec<f64>>()
-            .unwrap_err();
+        let err = read::<Vec<f64>>(log).unwrap_err();
         assert!(matches!(err, PersistError::Replay { line: 2, .. }));
     }
 
     #[test]
     fn string_events_round_trip() {
-        let mut line = String::new();
-        let mut w_buf = Vec::new();
-        {
-            let mut line_owned = String::with_capacity(48);
-            line_owned.push_str("{\"seq\":7,\"tick\":9,\"point\":");
-            "quo\"te\\and\nnewline"
-                .to_owned()
-                .write_json(&mut line_owned);
-            line_owned.push_str("}\n");
-            line.push_str(&line_owned);
-            w_buf.extend_from_slice(line_owned.as_bytes());
-        }
-        let entries = ReplayReader::new(&w_buf[..]).read_all::<String>().unwrap();
+        let mut log = String::new();
+        push_line(&mut log, 7, 9, &"quo\"te\\and\nnewline".to_owned());
+        let entries = read::<String>(log).unwrap();
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].seq, 7);
         assert_eq!(entries[0].tick, 9);

@@ -87,10 +87,13 @@ proptest! {
     }
 
     /// Replay-log garbage is similarly typed: interior malformed lines
-    /// are `Replay { line, .. }`, and parsing never panics.
+    /// (invalid UTF-8 included) are `Replay { line, .. }`, and parsing
+    /// never panics. One byte in five is a newline, so most cases hold
+    /// several lines.
     #[test]
-    fn replay_garbage_is_typed(text in "[ -~\n]{0,200}") {
-        match ReplayReader::new(text.as_bytes()).read_all::<Vec<f64>>() {
+    fn replay_garbage_is_typed(raw in prop::collection::vec(0u16..320, 0..200)) {
+        let bytes: Vec<u8> = raw.into_iter().map(|b| u8::try_from(b).unwrap_or(b'\n')).collect();
+        match ReplayReader::new(&bytes[..]).read_all::<Vec<f64>>() {
             Ok(_) => {}
             Err(PersistError::Replay { line, .. }) => prop_assert!(line >= 1),
             Err(e) => prop_assert!(false, "unexpected error kind: {e}"),

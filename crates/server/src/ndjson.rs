@@ -4,8 +4,14 @@
 //!
 //! The request protocol is newline-delimited: one point per line in,
 //! one JSON object per line out, errors reported **per line** so a
-//! single malformed event never aborts the rest of the batch.
+//! single malformed event never aborts the rest of the batch. A JSON
+//! line is read by the workspace's one strict reader,
+//! [`mccatch_obs::json`], and decoded by [`PersistPoint::from_json`] —
+//! the grammar and decoder the replay log uses, so a point the wire
+//! accepts is a point the log can replay.
 
+use mccatch_obs::json;
+use mccatch_persist::PersistPoint;
 use mccatch_stream::ScoredEvent;
 use std::sync::Arc;
 
@@ -30,22 +36,28 @@ pub fn scored_event_json(e: &ScoredEvent) -> String {
     )
 }
 
-/// Parses one NDJSON line into a vector point. Accepts the JSON-array
-/// form (`[1.0, 2.5]`) and, for `curl`-friendliness, bare separated
-/// floats (`1.0, 2.5` or `1.0 2.5`).
+/// Parses one NDJSON line into a vector point. Accepts a JSON array
+/// (`[1.0, 2.5]`) and, for `curl`-friendliness, bare separated finite
+/// floats (`1.0, 2.5` or `1.0 2.5`). Either way every coordinate must
+/// be a finite JSON number: `inf`, `NaN`, `+1`, `.5`, `5.`, `01` and
+/// overflow literals like `1e999` are refused at the protocol boundary,
+/// or a client could smuggle non-finite coordinates into the sliding
+/// window and poison the next refit.
 pub fn parse_vector_line(line: &str) -> Result<Vec<f64>, String> {
     let line = line.trim();
-    let inner = match line.strip_prefix('[') {
-        Some(rest) => rest
-            .strip_suffix(']')
-            .ok_or_else(|| "unterminated JSON array".to_owned())?,
-        None => line,
+    let coords = if line.starts_with('[') {
+        Vec::<f64>::from_json(&json::parse(line)?)?
+    } else {
+        line.split(|c: char| c == ',' || c.is_whitespace() || c == ';')
+            .filter(|t| !t.is_empty())
+            .map(|t| {
+                json::parse(t)
+                    .ok()
+                    .and_then(|v| v.as_f64())
+                    .ok_or_else(|| format!("not a finite JSON number: {t:?}"))
+            })
+            .collect::<Result<_, _>>()?
     };
-    let coords: Vec<f64> = inner
-        .split(|c: char| c == ',' || c.is_whitespace() || c == ';')
-        .filter(|t| !t.is_empty())
-        .map(parse_json_number)
-        .collect::<Result<_, _>>()?;
     if coords.is_empty() {
         return Err("empty vector".to_owned());
     }
@@ -86,64 +98,14 @@ pub fn vector_parser_auto() -> LineParser<Vec<f64>> {
 }
 
 /// Parses one NDJSON line into a string point. Accepts a JSON string
-/// literal (`"alice"`, with the usual escapes) or, for convenience, the
-/// raw trimmed line.
+/// (`"alice"`, any RFC 8259 escape, surrogate pairs included) or, for
+/// convenience, the raw trimmed line.
 pub fn parse_string_line(line: &str) -> Result<String, String> {
     let line = line.trim();
-    let Some(rest) = line.strip_prefix('"') else {
-        return Ok(line.to_owned());
-    };
-    let mut out = String::with_capacity(rest.len());
-    let mut chars = rest.chars();
-    loop {
-        match chars.next() {
-            None => return Err("unterminated JSON string".to_owned()),
-            Some('"') => break,
-            Some('\\') => match chars.next() {
-                Some('"') => out.push('"'),
-                Some('\\') => out.push('\\'),
-                Some('/') => out.push('/'),
-                Some('n') => out.push('\n'),
-                Some('r') => out.push('\r'),
-                Some('t') => out.push('\t'),
-                Some('u') => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    let code = u32::from_str_radix(&hex, 16)
-                        .map_err(|_| format!("invalid \\u escape: {hex:?}"))?;
-                    out.push(
-                        char::from_u32(code)
-                            .ok_or_else(|| format!("invalid code point: {code:#x}"))?,
-                    );
-                }
-                other => return Err(format!("invalid escape: \\{other:?}")),
-            },
-            Some(c) => out.push(c),
-        }
-    }
-    if chars.next().is_some() {
-        return Err("trailing bytes after JSON string".to_owned());
-    }
-    Ok(out)
-}
-
-/// Parses one numeric token strictly: finite JSON number syntax only.
-/// Rust's `f64::parse` alone would accept `inf`, `NaN`, hex floats, a
-/// leading `+`, and overflow literals like `1e999` (which parses to
-/// infinity) — all of which must stay rejected at the protocol
-/// boundary, or a client can smuggle non-finite coordinates into the
-/// sliding window and poison (or panic) the next refit.
-fn parse_json_number(token: &str) -> Result<f64, String> {
-    let ok = !token.starts_with('+')
-        && token
-            .bytes()
-            .all(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'));
-    if !ok {
-        return Err(format!("not a JSON number: {token:?}"));
-    }
-    match token.parse::<f64>() {
-        Ok(v) if v.is_finite() => Ok(v),
-        Ok(_) => Err(format!("number out of f64 range: {token:?}")),
-        Err(e) => Err(format!("not a JSON number: {token:?} ({e})")),
+    if line.starts_with('"') {
+        String::from_json(&json::parse(line)?)
+    } else {
+        Ok(line.to_owned())
     }
 }
 
@@ -201,6 +163,11 @@ mod tests {
         ] {
             assert!(parse_vector_line(bad).is_err(), "{bad:?} must be rejected");
         }
+        // One strict grammar, in an array or bare: no leading zero,
+        // trailing comma, missing separator or bare-dot float.
+        for bad in ["[01]", "[1,]", "[1 2]", ".5", "5.", "01"] {
+            assert!(parse_vector_line(bad).is_err(), "{bad:?} must be rejected");
+        }
         // Exponent signs inside the number are legal JSON and stay.
         assert_eq!(parse_vector_line("[1e+2, 1e-2]"), Ok(vec![100.0, 0.01]));
     }
@@ -231,6 +198,16 @@ mod tests {
         assert_eq!(
             parse_string_line("\"a\\\"b\\\\c\\u0041\""),
             Ok("a\"b\\cA".to_owned())
+        );
+        // What Python's default json.dumps sends for non-ASCII text and
+        // the short control escapes.
+        assert_eq!(
+            parse_string_line(r#""Jos\u00e9 \ud83d\ude00""#),
+            Ok("José 😀".to_owned())
+        );
+        assert_eq!(
+            parse_string_line(r#""back\bspace\f""#),
+            Ok("back\u{8}space\u{c}".to_owned())
         );
         assert!(parse_string_line("\"unterminated").is_err());
         assert!(parse_string_line("\"a\" trailing").is_err());

@@ -39,6 +39,7 @@
 
 use crate::error::TenantError;
 use crate::name::valid_tenant_name;
+use mccatch_obs::json::{self, Json};
 use mccatch_persist::{atomic_write, FsyncPolicy, PersistError, PersistPoint, ReplayWriter};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -324,7 +325,7 @@ pub(crate) fn read_manifest(path: &Path, tenant: &str) -> Result<Manifest, Tenan
         path: path.to_path_buf(),
         message,
     };
-    let (named, manifest) = parse_manifest(text.trim()).map_err(bad)?;
+    let (named, manifest) = parse_manifest(&text).map_err(bad)?;
     if named != tenant {
         return Err(bad(format!(
             "manifest certifies tenant {named:?}, file name says {tenant:?}"
@@ -335,38 +336,28 @@ pub(crate) fn read_manifest(path: &Path, tenant: &str) -> Result<Manifest, Tenan
 
 /// Parses one `{"tenant":"…","shards":N,"crc32":[…]}` manifest line.
 fn parse_manifest(s: &str) -> Result<(String, Manifest), String> {
-    let s = s
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or("manifest is not a JSON object")?;
-    let s = expect_key(s, "tenant")?;
-    let s = s.strip_prefix('"').ok_or("tenant value is not a string")?;
-    let (tenant, s) = s.split_once('"').ok_or("unterminated tenant value")?;
-    let s = s
-        .trim_start()
-        .strip_prefix(',')
-        .ok_or("missing ',' after tenant")?;
-    let s = expect_key(s, "shards")?;
-    let (n_str, s) = s.split_once(',').ok_or("missing ',' after shards")?;
-    let shards = n_str
-        .trim()
-        .parse::<usize>()
-        .map_err(|e| format!("bad shard count {n_str:?}: {e}"))?;
+    let v = json::parse(s)?;
+    let tenant = v
+        .get("tenant")
+        .and_then(Json::as_str)
+        .ok_or("missing or non-string \"tenant\"")?;
+    let shards = v
+        .get("shards")
+        .and_then(Json::as_u64)
+        .and_then(|n| usize::try_from(n).ok())
+        .ok_or("missing or non-integer \"shards\"")?;
     if shards == 0 {
         return Err("manifest shard count must be >= 1".to_owned());
     }
-    let s = expect_key(s, "crc32")?;
-    let s = s
-        .trim()
-        .strip_prefix('[')
-        .and_then(|s| s.strip_suffix(']'))
-        .ok_or("crc32 is not an array")?;
-    let crc32 = s
-        .split(',')
-        .map(|t| {
-            t.trim()
-                .parse::<u32>()
-                .map_err(|e| format!("bad crc32 entry {t:?}: {e}"))
+    let crc32 = v
+        .get("crc32")
+        .and_then(Json::as_array)
+        .ok_or("missing or non-array \"crc32\"")?
+        .iter()
+        .map(|c| {
+            c.as_u64()
+                .and_then(|c| u32::try_from(c).ok())
+                .ok_or_else(|| format!("bad crc32 entry {c:?}"))
         })
         .collect::<Result<Vec<u32>, String>>()?;
     if crc32.len() != shards {
@@ -376,21 +367,6 @@ fn parse_manifest(s: &str) -> Result<(String, Manifest), String> {
         ));
     }
     Ok((tenant.to_owned(), Manifest { shards, crc32 }))
-}
-
-/// Consumes `"key":` (with optional surrounding whitespace) from the
-/// front of `s`.
-fn expect_key<'a>(s: &'a str, key: &str) -> Result<&'a str, String> {
-    let s = s.trim_start();
-    let s = s
-        .strip_prefix('"')
-        .and_then(|s| s.strip_prefix(key))
-        .and_then(|s| s.strip_prefix('"'))
-        .ok_or_else(|| format!("missing \"{key}\" field"))?;
-    let s = s.trim_start();
-    s.strip_prefix(':')
-        .ok_or_else(|| format!("missing ':' after \"{key}\""))
-        .map(str::trim_start)
 }
 
 /// Rewrites one shard's replay log to exactly `entries` (the shard's
