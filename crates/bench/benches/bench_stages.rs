@@ -51,10 +51,10 @@ fn bench_stages(c: &mut Criterion) {
 /// high-dimensional sweep where the paper's scalability claims live):
 /// single-traversal vs. per-radius, on both the kd-tree fast path and the
 /// Slim-tree general path. The multi-radius pass must win on both here
-/// (measured ~1.7x kd and ~2.1x slim, with ~3.9x fewer Slim-tree distance
-/// evaluations — the same numbers the README's performance table cites);
-/// on cheap low-dimensional data (the http group above) the
-/// per-radius joins remain competitive because re-descending a 2–3-d
+/// (~3x on the kd-tree, whose leaf scan computes each distance once, and
+/// ~2x on the Slim-tree with ~3.9x fewer distance evaluations; see the
+/// README's performance table); on cheap low-dimensional data (the http
+/// group above) the two paths roughly tie, because re-descending a 2–3-d
 /// kd-tree was never the bottleneck.
 fn bench_counting_fig7(c: &mut Criterion) {
     let pts = uniform(4_000, 20, 7);

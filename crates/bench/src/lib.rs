@@ -272,9 +272,34 @@ pub fn cell(v: f64) -> String {
 /// Appends one JSON object line to the repo-root perf ledger `file`
 /// (`BENCH_server.json`, …), created if missing and never truncated:
 /// each ledger is the accumulating trajectory across runs. The line is
-/// stamped with the host — `cores` and the `cpu` model — so numbers
-/// from different machines cannot pass for a regression or a win.
+/// stamped with its host — `cores` and the `cpu` model — and its source
+/// — the git `commit` (suffixed `-dirty` when tracked files differ from
+/// it, `unknown` outside a checkout) and the build `profile` — so
+/// numbers from different machines or builds cannot pass for a
+/// regression or a win.
 pub fn append_bench_line(file: &str, json: &str) {
+    let root = ledger_root();
+    let line = stamp_line(json, &root);
+    let path = root.join(file);
+    let appended = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(&path)
+        .and_then(|mut f| std::io::Write::write_all(&mut f, line.as_bytes()));
+    match appended {
+        Ok(()) => println!("appended to {}", path.display()),
+        Err(e) => eprintln!("could not write {}: {e}", path.display()),
+    }
+}
+
+/// The repository root, where the ledgers live.
+fn ledger_root() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+/// `json` (one object) plus the ledger stamp of [`append_bench_line`],
+/// newline-terminated, for the checkout at `root`.
+fn stamp_line(json: &str, root: &std::path::Path) -> String {
     let body = json
         .trim_end()
         .strip_suffix('}')
@@ -289,27 +314,58 @@ pub fn append_bench_line(file: &str, json: &str) {
                 .map(|(_, v)| v.trim().to_owned())
         })
         .unwrap_or_else(|| "unknown".to_owned());
-    let line = format!(
-        "{body}, \"cores\": {cores}, \"cpu\": \"{}\"}}\n",
-        mccatch_obs::json_escape(&cpu)
-    );
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(file);
-    let appended = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .and_then(|mut f| std::io::Write::write_all(&mut f, line.as_bytes()));
-    match appended {
-        Ok(()) => println!("appended to {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
+    format!(
+        "{body}, \"cores\": {cores}, \"cpu\": \"{}\", \"commit\": \"{}\", \"profile\": \"{profile}\"}}\n",
+        mccatch_obs::json_escape(&cpu),
+        mccatch_obs::json_escape(&git_commit(root)),
+    )
+}
+
+/// The checkout's `HEAD` commit, `-dirty` when tracked files differ from
+/// it; `unknown` when `git` or the repository is unavailable.
+fn git_commit(root: &std::path::Path) -> String {
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .current_dir(root)
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+    };
+    let Some(head) = git(&["rev-parse", "HEAD"]) else {
+        return "unknown".to_owned();
+    };
+    let mut commit = String::from_utf8_lossy(&head.stdout).trim().to_owned();
+    let dirty = git(&["status", "--porcelain", "--untracked-files=no"]);
+    if dirty.is_some_and(|out| !out.stdout.is_empty()) {
+        commit.push_str("-dirty");
     }
+    commit
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn ledger_lines_carry_host_and_source() {
+        let line = stamp_line(r#"{"bench": "x", "n": 1}"#, &ledger_root());
+        assert!(line.ends_with("}\n"));
+        let doc = mccatch_obs::json::parse(line.trim_end()).expect("one JSON object");
+        for key in ["bench", "n", "cores", "cpu", "commit", "profile"] {
+            assert!(doc.get(key).is_some(), "{key} missing from {line}");
+        }
+        let profile = doc.get("profile").and_then(|v| v.as_str());
+        let built = ["release", "debug"][cfg!(debug_assertions) as usize];
+        assert_eq!(profile, Some(built));
+        let commit = doc.get("commit").and_then(|v| v.as_str());
+        assert!(commit.is_some_and(|c| !c.is_empty()));
+    }
 
     #[test]
     fn args_defaults_and_flags() {

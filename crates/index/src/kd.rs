@@ -41,8 +41,6 @@ impl<P: AsRef<[f64]> + Send + Sync> IndexBuilder<P, Euclidean> for KdTreeBuilder
 
 #[derive(Debug)]
 struct KdNode {
-    /// Axis-aligned bounding box of the points below this node.
-    bbox: Box<[f64]>, // interleaved [min0, max0, min1, max1, ...]
     /// Number of points below this node.
     count: u32,
     kind: KdKind,
@@ -68,6 +66,16 @@ pub struct KdTree<P> {
     points: Arc<[P]>,
     ids: Vec<u32>,
     nodes: Vec<KdNode>,
+    /// Every node's axis-aligned bounding box, `2 * dim` values per node
+    /// in node order, interleaved `[min0, max0, min1, max1, ...]`.
+    boxes: Vec<f64>,
+    /// The leaves' coordinates, one dimension-major block per leaf: the
+    /// leaf over `ids[start..end]` keeps coordinate `d` of point
+    /// `ids[start + j]` at `blocks[start * dim + d * (end - start) + j]`,
+    /// so the blocks tile the array in `ids` order (`n * dim` values).
+    /// The multi-radius leaf scan reads only these; the per-radius
+    /// queries and `knn` read `points` through [`Self::dist2`].
+    blocks: Vec<f64>,
     dim: usize,
     /// Point-distance evaluations performed by queries (construction
     /// partitions coordinates and computes none). Relaxed ordering: read
@@ -86,6 +94,8 @@ impl<P: AsRef<[f64]>> KdTree<P> {
             points,
             ids: Vec::new(),
             nodes: Vec::new(),
+            boxes: Vec::new(),
+            blocks: vec![0.0; ids.len() * dim],
             dim,
             evals: AtomicU64::new(0),
         };
@@ -99,13 +109,12 @@ impl<P: AsRef<[f64]>> KdTree<P> {
 
     /// Builds the subtree over `ids[start..end]`, returning its node index.
     fn build_rec(&mut self, ids: &mut [u32], start: usize, end: usize, cap: usize) -> u32 {
-        let slice = &ids[start..end];
-        let mut bbox = vec![0.0f64; self.dim * 2];
-        for d in 0..self.dim {
-            bbox[2 * d] = f64::INFINITY;
-            bbox[2 * d + 1] = f64::NEG_INFINITY;
-        }
-        for &id in slice {
+        let idx = self.nodes.len() as u32;
+        let at = self.boxes.len();
+        self.boxes
+            .extend((0..self.dim).flat_map(|_| [f64::INFINITY, f64::NEG_INFINITY]));
+        let bbox = &mut self.boxes[at..];
+        for &id in &ids[start..end] {
             let c = self.points[id as usize].as_ref();
             for d in 0..self.dim {
                 bbox[2 * d] = bbox[2 * d].min(c[d]);
@@ -114,9 +123,16 @@ impl<P: AsRef<[f64]>> KdTree<P> {
         }
         let count = (end - start) as u32;
         if end - start <= cap {
-            let idx = self.nodes.len() as u32;
+            // Ancestors are done permuting this range: lay out its block.
+            let len = end - start;
+            let block = &mut self.blocks[start * self.dim..end * self.dim];
+            for (j, &id) in ids[start..end].iter().enumerate() {
+                let c = &self.points[id as usize].as_ref()[..self.dim];
+                for (d, &x) in c.iter().enumerate() {
+                    block[d * len + j] = x;
+                }
+            }
             self.nodes.push(KdNode {
-                bbox: bbox.into_boxed_slice(),
                 count,
                 kind: KdKind::Leaf {
                     start: start as u32,
@@ -126,6 +142,7 @@ impl<P: AsRef<[f64]>> KdTree<P> {
             return idx;
         }
         // Split the widest dimension at the median.
+        let bbox = &self.boxes[at..];
         let split_dim = (0..self.dim)
             .max_by(|&a, &b| {
                 OrdF64(bbox[2 * a + 1] - bbox[2 * a]).cmp(&OrdF64(bbox[2 * b + 1] - bbox[2 * b]))
@@ -139,9 +156,7 @@ impl<P: AsRef<[f64]>> KdTree<P> {
                 .then(a.cmp(&b))
         });
         // Reserve this node's slot before recursing so parents precede children.
-        let idx = self.nodes.len() as u32;
         self.nodes.push(KdNode {
-            bbox: bbox.into_boxed_slice(),
             count,
             kind: KdKind::Leaf { start: 0, end: 0 }, // patched below
         });
@@ -151,18 +166,18 @@ impl<P: AsRef<[f64]>> KdTree<P> {
         idx
     }
 
+    /// The bounding box of `node`.
+    #[inline]
+    fn bbox(&self, node: u32) -> &[f64] {
+        let width = 2 * self.dim;
+        &self.boxes[node as usize * width..][..width]
+    }
+
     /// Squared distance from `q` to the nearest point of `bbox` (0 inside).
     fn min_dist2(&self, q: &[f64], bbox: &[f64]) -> f64 {
         let mut s = 0.0;
         for d in 0..self.dim {
-            let (lo, hi) = (bbox[2 * d], bbox[2 * d + 1]);
-            let v = if q[d] < lo {
-                lo - q[d]
-            } else if q[d] > hi {
-                q[d] - hi
-            } else {
-                0.0
-            };
+            let v = near_gap(q[d], bbox[2 * d], bbox[2 * d + 1]);
             s += v * v;
         }
         s
@@ -172,12 +187,24 @@ impl<P: AsRef<[f64]>> KdTree<P> {
     fn max_dist2(&self, q: &[f64], bbox: &[f64]) -> f64 {
         let mut s = 0.0;
         for d in 0..self.dim {
-            let v = (q[d] - bbox[2 * d])
-                .abs()
-                .max((q[d] - bbox[2 * d + 1]).abs());
+            let v = far_gap(q[d], bbox[2 * d], bbox[2 * d + 1]);
             s += v * v;
         }
         s
+    }
+
+    /// [`Self::min_dist2`] and [`Self::max_dist2`] in one pass over the
+    /// box, each summed in the same order, so both are bit-identical.
+    fn bounds2(&self, q: &[f64], bbox: &[f64]) -> (f64, f64) {
+        let (mut near, mut far) = (0.0, 0.0);
+        for d in 0..self.dim {
+            let (lo, hi) = (bbox[2 * d], bbox[2 * d + 1]);
+            let v = near_gap(q[d], lo, hi);
+            near += v * v;
+            let w = far_gap(q[d], lo, hi);
+            far += w * w;
+        }
+        (near, far)
     }
 
     #[inline]
@@ -194,11 +221,11 @@ impl<P: AsRef<[f64]>> KdTree<P> {
 
     fn count_rec(&self, node: u32, q: &[f64], r2: f64, evals: &mut u64) -> usize {
         let n = &self.nodes[node as usize];
-        let min2 = self.min_dist2(q, &n.bbox);
-        if min2 > r2 {
+        let bbox = self.bbox(node);
+        if self.min_dist2(q, bbox) > r2 {
             return 0;
         }
-        if self.max_dist2(q, &n.bbox) <= r2 {
+        if self.max_dist2(q, bbox) <= r2 {
             // Covered-subtree shortcut (count-only principle).
             return n.count as usize;
         }
@@ -223,11 +250,11 @@ impl<P: AsRef<[f64]>> KdTree<P> {
     /// radius covers the whole box take the subtree cardinality in one
     /// bulk-add (shrink `hi`), and columns at or past the counter's
     /// watermark can only end OVER (clamp `hi`). The pruning predicates
-    /// are textually the same as [`Self::count_rec`]'s, so the counts
-    /// match the per-radius path bit for bit.
-    /// `min2` is this node's squared bounding-box distance, computed by
-    /// the parent (for child ordering) and passed down so each box is
-    /// evaluated exactly once.
+    /// are the same as [`Self::count_rec`]'s, over the same box bounds,
+    /// so the counts match the per-radius path bit for bit.
+    /// `(min2, max2)` are this node's squared bounding-box bounds
+    /// ([`Self::bounds2`]), computed by the parent (`min2` orders the
+    /// children) and passed down so each box is evaluated exactly once.
     #[allow(clippy::too_many_arguments)] // recursion state, not an API
     fn multi_rec(
         &self,
@@ -236,7 +263,7 @@ impl<P: AsRef<[f64]>> KdTree<P> {
         r2: &[f64],
         mut lo: usize,
         mut hi: usize,
-        min2: f64,
+        (min2, max2): (f64, f64),
         counter: &mut MultiCounter,
     ) {
         hi = hi.min(counter.hi_cap());
@@ -247,7 +274,6 @@ impl<P: AsRef<[f64]>> KdTree<P> {
             return;
         }
         let n = &self.nodes[node as usize];
-        let max2 = self.max_dist2(q, &n.bbox);
         let mut nh = hi;
         while nh > lo && max2 <= r2[nh - 1] {
             nh -= 1;
@@ -262,49 +288,51 @@ impl<P: AsRef<[f64]>> KdTree<P> {
         }
         match n.kind {
             KdKind::Leaf { start, end } => {
-                // One fused scan per window column — the same tight,
-                // store-free loop shape as the per-radius leaf scan (point
-                // distances here are cheap coordinate arithmetic, so
-                // recomputing beats buffering). Counts are cumulative in
-                // the column radius, so only the increment is new.
-                let ids = &self.ids[start as usize..end as usize];
-                let mut prev = 0i64;
-                for (k, &rk) in r2.iter().enumerate().take(hi).skip(lo) {
-                    counter.evals += ids.len() as u64;
-                    let c = ids.iter().filter(|&&id| self.dist2(q, id) <= rk).count() as i64;
-                    counter.add_column_delta(k, hi, c - prev);
-                    prev = c;
-                    if c == ids.len() as i64 {
-                        // Every point counted: later columns add nothing.
-                        break;
+                // Each point's squared distance once per visit, into the
+                // counter's scratch, then bucketed into every window
+                // column. Dimension-outer over the leaf's block, so the
+                // inner loop runs across points and vectorizes, while each
+                // point still sums its coordinates in order: the distances
+                // are bit-identical to `dist2`.
+                let (start, end) = (start as usize, end as usize);
+                let len = end - start;
+                let block = &self.blocks[start * self.dim..end * self.dim];
+                let dist = counter.scratch_mut();
+                dist.resize(len, 0.0);
+                for (column, &x) in block.chunks_exact(len).zip(q) {
+                    for (s, &c) in dist.iter_mut().zip(column) {
+                        let t = x - c;
+                        *s += t * t;
                     }
                 }
-                counter.bump();
+                counter.evals += len as u64;
+                counter.add_leaf(&r2[lo..hi], lo, hi);
             }
             KdKind::Split { left, right } => {
                 // Nearest child first: the query's dense neighborhood is
                 // what pushes the running counts past the cap, so visiting
                 // it early collapses the window to the small radii before
                 // the expensive far subtrees are reached.
-                let dl = self.min_dist2(q, &self.nodes[left as usize].bbox);
-                let dr = self.min_dist2(q, &self.nodes[right as usize].bbox);
-                let ((near, near2), (far, far2)) = if dl <= dr {
-                    ((left, dl), (right, dr))
+                let bl = self.bounds2(q, self.bbox(left));
+                let br = self.bounds2(q, self.bbox(right));
+                let ((near, near_b), (far, far_b)) = if bl.0 <= br.0 {
+                    ((left, bl), (right, br))
                 } else {
-                    ((right, dr), (left, dl))
+                    ((right, br), (left, bl))
                 };
-                self.multi_rec(near, q, r2, lo, hi, near2, counter);
-                self.multi_rec(far, q, r2, lo, hi, far2, counter);
+                self.multi_rec(near, q, r2, lo, hi, near_b, counter);
+                self.multi_rec(far, q, r2, lo, hi, far_b, counter);
             }
         }
     }
 
     fn ids_rec(&self, node: u32, q: &[f64], r2: f64, out: &mut Vec<u32>, evals: &mut u64) {
         let n = &self.nodes[node as usize];
-        if self.min_dist2(q, &n.bbox) > r2 {
+        let bbox = self.bbox(node);
+        if self.min_dist2(q, bbox) > r2 {
             return;
         }
-        if self.max_dist2(q, &n.bbox) <= r2 {
+        if self.max_dist2(q, bbox) <= r2 {
             self.collect(node, out);
             return;
         }
@@ -338,6 +366,24 @@ impl<P: AsRef<[f64]>> KdTree<P> {
     }
 }
 
+/// Distance from coordinate `x` to the interval `[lo, hi]` (0 inside).
+#[inline]
+fn near_gap(x: f64, lo: f64, hi: f64) -> f64 {
+    if x < lo {
+        lo - x
+    } else if x > hi {
+        x - hi
+    } else {
+        0.0
+    }
+}
+
+/// Distance from coordinate `x` to the farther end of `[lo, hi]`.
+#[inline]
+fn far_gap(x: f64, lo: f64, hi: f64) -> f64 {
+    (x - lo).abs().max((x - hi).abs())
+}
+
 impl<P: AsRef<[f64]> + Send + Sync> RangeIndex<P> for KdTree<P> {
     fn len(&self) -> usize {
         self.ids.len()
@@ -360,8 +406,8 @@ impl<P: AsRef<[f64]> + Send + Sync> RangeIndex<P> for KdTree<P> {
         if !self.ids.is_empty() && !radii.is_empty() {
             let q = q.as_ref();
             let r2: Vec<f64> = radii.iter().map(|&r| r * r).collect();
-            let min2 = self.min_dist2(q, &self.nodes[0].bbox);
-            self.multi_rec(0, q, &r2, 0, radii.len(), min2, &mut counter);
+            let root = self.bounds2(q, self.bbox(0));
+            self.multi_rec(0, q, &r2, 0, radii.len(), root, &mut counter);
             self.evals.fetch_add(counter.evals, Ordering::Relaxed);
         }
         counter.finish()
@@ -423,7 +469,7 @@ impl<P: AsRef<[f64]> + Send + Sync> RangeIndex<P> for KdTree<P> {
                 }
                 KdKind::Split { left, right } => {
                     for child in [left, right] {
-                        let lb2 = self.min_dist2(q, &self.nodes[child as usize].bbox);
+                        let lb2 = self.min_dist2(q, self.bbox(child));
                         if best.len() < k || lb2 <= best.peek().expect("non-empty").0 .0 {
                             frontier.push(Reverse((OrdF64(lb2), child)));
                         }
@@ -449,7 +495,7 @@ impl<P: AsRef<[f64]> + Send + Sync> RangeIndex<P> for KdTree<P> {
         if self.nodes.is_empty() {
             return 0.0;
         }
-        let bbox = &self.nodes[0].bbox;
+        let bbox = self.bbox(0);
         (0..self.dim)
             .map(|d| {
                 let w = bbox[2 * d + 1] - bbox[2 * d];

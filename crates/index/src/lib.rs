@@ -143,9 +143,13 @@ impl Eq for SmallCounts {}
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DistanceStats {
     /// Total point-to-point distance evaluations since the index was built
-    /// (including the ones construction itself performed). For the kd-tree
-    /// this counts point-distance evaluations only; bounding-box arithmetic
-    /// is coordinate work, not a metric evaluation.
+    /// (including the ones construction itself performed), one per
+    /// distance actually computed: a multi-radius leaf scan computes each
+    /// point's distance once and buckets it into every radius of its
+    /// window, so it costs the leaf's size, not that times the radii. For
+    /// the kd-tree this counts point-distance evaluations only;
+    /// bounding-box arithmetic is coordinate work, not a metric
+    /// evaluation.
     pub evals: u64,
 }
 

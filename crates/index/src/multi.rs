@@ -16,7 +16,10 @@
 //! [`MultiCounter::hi_cap`]: once the running count at some column exceeds
 //! `cap`, every later column is guaranteed to end [`OVER`](crate::OVER),
 //! so traversals stop refining them (the early exit of Sec. IV-G, applied
-//! per query instead of per join).
+//! per query instead of per join). The watermark is always exactly one
+//! past the first column whose running count exceeds `cap` (or `m`
+//! while none does); the amortized rescans in [`MultiCounter::bump`]
+//! keep it so because every contribution also feeds one running total.
 
 use crate::{SmallCounts, OVER};
 
@@ -34,19 +37,21 @@ pub(crate) struct MultiCounter {
     /// Columns `>= hi_cap` are guaranteed to end [`OVER`]; traversals clamp
     /// their window to it and stop refining those columns.
     hi_cap: usize,
-    /// Total contribution mass added so far (points + bulk subtrees,
-    /// summed over all columns' first entries). An upper bound on every
-    /// running column count, used to amortize [`Self::bump`].
+    /// Total contribution mass added so far: every point, bulk subtree
+    /// and counted leaf entry, once each. An upper bound on every running
+    /// column count, used to amortize [`Self::bump`]; every `add_*` must
+    /// feed it, or a skipped scan could miss a crossing.
     total: i64,
-    /// Skip watermark scans until `total` reaches this: no column can
-    /// cross the cap before then.
+    /// Skip watermark scans until `total` reaches this: no column below
+    /// the watermark can cross the cap before then.
     next_bump_at: i64,
     /// Point-to-point distance evaluations performed for this query.
     pub evals: u64,
-    /// Scratch buffer of the current leaf's point distances, so bucketing
-    /// runs as one tight counting pass per window column instead of a
-    /// branchy per-point search (leaves never recurse, so one buffer per
-    /// query suffices).
+    /// Scratch buffer of the current leaf's point distances (squared, for
+    /// the kd-tree), so each distance is computed once per leaf visit and
+    /// bucketing runs as one tight counting pass per window column
+    /// instead of a branchy per-point search (leaves never recurse, so one
+    /// buffer per query suffices).
     scratch: Vec<f64>,
 }
 
@@ -79,9 +84,12 @@ impl MultiCounter {
     /// same inner loop shape as a per-radius `range_count` leaf scan.
     /// Distances beyond the window's largest radius contribute nothing
     /// (their columns were bulk-added by an ancestor or are past the
-    /// watermark). Ends with a watermark [`Self::bump`].
+    /// watermark), and the passes stop once every entry is counted. The
+    /// counted entries join `total`, so the [`Self::bump`] it ends with
+    /// sees them.
     pub fn add_leaf(&mut self, radii_win: &[f64], lo: usize, hi: usize) {
         debug_assert_eq!(radii_win.len(), hi - lo);
+        let all = self.scratch.len() as i64;
         let mut prev = 0i64;
         for (j, &r) in radii_win.iter().enumerate() {
             let c = self.scratch.iter().filter(|&&d| d <= r).count() as i64;
@@ -93,7 +101,12 @@ impl MultiCounter {
                 self.diff[hi] -= delta;
             }
             prev = c;
+            if c == all {
+                // Every entry counted: later columns add nothing.
+                break;
+            }
         }
+        self.total += prev;
         self.bump();
     }
 
@@ -120,24 +133,12 @@ impl MultiCounter {
         self.total += count as i64;
     }
 
-    /// Records a cumulative-count increment for columns `[k, hi)`: used by
-    /// leaf scans that count per column, where column `k`'s total includes
-    /// everything already counted at column `k - 1`. No-op for zero.
-    #[inline]
-    pub fn add_column_delta(&mut self, k: usize, hi: usize, delta: i64) {
-        debug_assert!(delta >= 0);
-        if delta != 0 {
-            self.diff[k] += delta;
-            self.diff[hi] -= delta;
-            self.total += delta;
-        }
-    }
-
     /// Re-derives the watermark from the running counts. Called once per
     /// leaf scan or bulk-add, and amortized to `O(1)`: `total` bounds
     /// every running column count from above, so the scan is skipped
-    /// entirely until enough new mass has arrived that some column *could*
-    /// have crossed the cap.
+    /// entirely until enough new mass has arrived that some column below
+    /// the watermark *could* have crossed the cap. The skip is re-armed
+    /// after a crossing too, over the columns still below it.
     #[inline]
     pub fn bump(&mut self) {
         if self.total < self.next_bump_at {
@@ -149,15 +150,17 @@ impl MultiCounter {
             running += self.diff[k];
             if running > self.cap as i64 {
                 // Running counts only grow, so the final count at column k
-                // also exceeds cap: the first crossing is at or before k
-                // and every column after it ends OVER.
+                // also exceeds cap: every column after it ends OVER. The
+                // columns before k are all at or under the cap, and only
+                // they can move the watermark again.
                 self.hi_cap = k + 1;
-                return;
+                break;
             }
             max_running = max_running.max(running);
         }
-        // No crossing yet: the best-placed column still needs this much
-        // more mass before it can cross, so skip the scans until then.
+        // The best-placed column below the watermark still needs this
+        // much more mass before it can cross, so skip the scans until
+        // then.
         self.next_bump_at = self.total + (self.cap as i64 + 1 - max_running);
     }
 
@@ -185,6 +188,7 @@ impl MultiCounter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn finish_masks_after_first_crossing() {
@@ -221,5 +225,73 @@ mod tests {
         c.bump();
         assert_eq!(c.hi_cap(), 3);
         assert_eq!(c.finish().as_slice(), &[1, 1, 2]);
+    }
+
+    /// One counter operation: `(kind, window start, window length,
+    /// subtree size, leaf distances in half units)`.
+    fn op() -> impl Strategy<Value = (u8, usize, usize, u32, Vec<u8>)> {
+        (
+            0u8..3,
+            0usize..16,
+            0usize..16,
+            0u32..8,
+            prop::collection::vec(0u8..26, 0..8),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn watermark_matches_an_always_rescan_reference(
+            m in 1usize..12,
+            cap in 0u32..24,
+            ops in prop::collection::vec(op(), 0..40),
+        ) {
+            // Column k's radius is k and leaf distances step by 0.5, so
+            // half of them land exactly on a radius (the `<=` ties).
+            let radii: Vec<f64> = (0..m).map(|k| k as f64).collect();
+            let mut c = MultiCounter::new(m, cap);
+            let mut counts = vec![0u64; m];
+            let mut prev = c.hi_cap();
+            for (kind, at, width, size, halves) in ops {
+                let lo = at % m;
+                let hi = lo + 1 + width % (m - lo);
+                match kind {
+                    0 => {
+                        c.add_point(lo, hi);
+                        counts[lo..hi].iter_mut().for_each(|n| *n += 1);
+                    }
+                    1 => {
+                        c.add_subtree(lo, hi, size);
+                        counts[lo..hi].iter_mut().for_each(|n| *n += size as u64);
+                    }
+                    _ => {
+                        let dists: Vec<f64> = halves.iter().map(|&h| h as f64 * 0.5).collect();
+                        c.scratch_mut().extend_from_slice(&dists);
+                        c.add_leaf(&radii[lo..hi], lo, hi);
+                        for (n, &r) in counts[lo..hi].iter_mut().zip(&radii[lo..hi]) {
+                            *n += dists.iter().filter(|&&d| d <= r).count() as u64;
+                        }
+                    }
+                }
+                c.bump();
+                // Always rescanning: one past the first column over the
+                // cap, else every column.
+                let want = counts.iter().position(|&n| n > cap as u64).map_or(m, |k| k + 1);
+                prop_assert_eq!(c.hi_cap(), want);
+                prop_assert!(c.hi_cap() <= prev);
+                prev = c.hi_cap();
+            }
+            let mut want = vec![OVER; m];
+            for (w, &n) in want.iter_mut().zip(&counts) {
+                *w = n as u32;
+                if n > cap as u64 {
+                    break;
+                }
+            }
+            let got = c.finish();
+            prop_assert_eq!(got.as_slice(), want.as_slice());
+        }
     }
 }

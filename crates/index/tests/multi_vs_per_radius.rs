@@ -3,7 +3,8 @@
 //! sequence of [`RangeIndex::range_count`] calls — exact counts up to and
 //! including the first one that crosses the sparse-focused cap, `OVER`
 //! afterwards — on random point sets, random (ascending) radius grids,
-//! random caps, and both vector and string data.
+//! random caps, and both vector and string data. The kd-tree also runs
+//! at 1, 3, 5 and 20 dimensions, on lattice and duplicate points.
 
 use mccatch_index::{BruteForce, KdTree, RangeIndex, SlimTree, VpTree, OVER};
 use mccatch_metric::{Euclidean, Levenshtein};
@@ -32,8 +33,29 @@ fn points_2d() -> impl Strategy<Value = Vec<Vec<f64>>> {
     prop::collection::vec(prop::collection::vec(-100.0..100.0f64, 2), 1..120)
 }
 
-fn points_5d() -> impl Strategy<Value = Vec<Vec<f64>>> {
-    prop::collection::vec(prop::collection::vec(-10.0..10.0f64, 5), 1..60)
+fn points_20d() -> impl Strategy<Value = Vec<Vec<f64>>> {
+    prop::collection::vec(prop::collection::vec(-10.0..10.0f64, 20), 1..60)
+}
+
+/// The first `dim` coordinates of each raw point: as drawn (`shape` 0),
+/// rounded onto the integer lattice (1), or on the lattice with every
+/// other point a copy of the one before it (2).
+fn kd_points(raw: &[Vec<f64>], dim: usize, shape: u8) -> Vec<Vec<f64>> {
+    let mut pts: Vec<Vec<f64>> = raw
+        .iter()
+        .map(|p| {
+            p[..dim]
+                .iter()
+                .map(|&x| if shape == 0 { x } else { x.round() })
+                .collect()
+        })
+        .collect();
+    if shape == 2 {
+        for i in (1..pts.len()).step_by(2) {
+            pts[i] = pts[i - 1].clone();
+        }
+    }
+    pts
 }
 
 /// Ascending radius grids of 1..=12 radii, geometric-ish with a random
@@ -63,7 +85,23 @@ proptest! {
     }
 
     #[test]
-    fn kd_multi_matches_per_radius(pts in points_5d(), q in 0usize..60, radii in grid(), cap in 0u32..20, leaf in 1usize..8) {
+    fn kd_multi_matches_per_radius(
+        raw in points_20d(),
+        dim in 0usize..4,
+        shape in 0u8..3,
+        q in 0usize..60,
+        radii in grid(),
+        cap in 0u32..20,
+        leaf in 1usize..41,
+    ) {
+        let pts = kd_points(&raw, [1, 3, 5, 20][dim], shape);
+        // Lattice points get integer radii: squared distances and squared
+        // radii are then exact integers, and many land on a radius.
+        let radii: Vec<f64> = if shape == 0 {
+            radii
+        } else {
+            radii.iter().map(|r| r.round()).collect()
+        };
         let q = q % pts.len();
         let idx = KdTree::build(pts.clone(), (0..pts.len() as u32).collect(), leaf);
         let got = idx.multi_range_count(&pts[q], &radii, cap);
@@ -129,11 +167,15 @@ proptest! {
         let ids: Vec<u32> = (0..pts.len() as u32).step_by(3).collect();
         prop_assume!(!ids.is_empty());
         let slim = SlimTree::build(pts.clone(), ids.clone(), Euclidean, 4);
+        // kd leaf blocks are laid out from `ids`, not from the dataset.
+        let kd = KdTree::build(pts.clone(), ids.clone(), 3);
         let brute = BruteForce::new(pts.clone(), ids, Euclidean);
         let q = &pts[0];
         let a = slim.multi_range_count(q, &radii, cap);
         let b = brute.multi_range_count(q, &radii, cap);
         prop_assert_eq!(a.as_slice(), b.as_slice());
+        let c = kd.multi_range_count(q, &radii, cap);
+        prop_assert_eq!(c.as_slice(), b.as_slice());
     }
 }
 
@@ -166,4 +208,23 @@ fn cap_zero_records_the_crossing_exactly() {
     let vp = VpTree::build(pts.clone(), (0..10).collect(), Euclidean, 2);
     let got = vp.multi_range_count(&pts[5], &[1.0, 2.0, 3.0], 0);
     assert_eq!(got.as_slice(), &[3, OVER, OVER]);
+}
+
+#[test]
+fn kd_window_over_every_leaf_costs_one_eval_per_point() {
+    // 64 points on a circle of radius 10 around the query, 4 per leaf:
+    // every node's box reaches inside radius 9.85 and out past 10, so
+    // both radii reach every leaf and cover none. Each point's distance
+    // is computed once, not once per radius.
+    let pts: Vec<Vec<f64>> = (0..64)
+        .map(|i| {
+            let a = i as f64 * std::f64::consts::TAU / 64.0;
+            vec![10.0 * a.cos(), 10.0 * a.sin()]
+        })
+        .collect();
+    let kd = KdTree::build(pts, (0..64).collect(), 4);
+    let before = kd.distance_stats().evals;
+    let got = kd.multi_range_count(&vec![0.0, 0.0], &[9.85, 9.9], u32::MAX);
+    assert_eq!(got.as_slice(), &[0, 0]);
+    assert_eq!(kd.distance_stats().evals - before, kd.len() as u64);
 }

@@ -8,7 +8,7 @@
 //! serving-store and streaming-detector glue, including window recovery
 //! through the replay log.
 
-use mccatch_core::{McCatch, Model, ModelStats, Params};
+use mccatch_core::{McCatch, McCatchOutput, Microcluster, Model, ModelExport, ModelStats, Params};
 use mccatch_index::{
     BruteForceBuilder, IndexBuilder, KdTreeBuilder, SlimTreeBuilder, VpTreeBuilder,
 };
@@ -144,6 +144,83 @@ fn backend_mismatch_is_refused() {
     let err =
         load_model::<Vec<f64>, _, _, _>(&buf[..], Euclidean, VpTreeBuilder::default()).unwrap_err();
     assert!(matches!(err, PersistError::BackendMismatch { .. }), "{err}");
+}
+
+/// A kd model whose reported summary is edited before it is saved: the
+/// witness a build with different counting behavior would have written.
+struct EditedStats<'a> {
+    inner: &'a dyn Model<Vec<f64>>,
+    edit: fn(&mut ModelStats),
+}
+
+impl Model<Vec<f64>> for EditedStats<'_> {
+    fn detect_output(&self) -> McCatchOutput {
+        self.inner.detect_output()
+    }
+
+    fn score_batch(&self, queries: &[Vec<f64>]) -> Vec<f64> {
+        self.inner.score_batch(queries)
+    }
+
+    fn top_k(&self, k: usize) -> Vec<Microcluster> {
+        self.inner.top_k(k)
+    }
+
+    fn stats(&self) -> ModelStats {
+        let mut stats = self.inner.stats();
+        (self.edit)(&mut stats);
+        stats
+    }
+
+    fn export(&self) -> Option<ModelExport<Vec<f64>>> {
+        self.inner.export()
+    }
+}
+
+/// Saves `fitted` with `edit` applied to its reported stats and asserts
+/// the verified load refuses it on `field`.
+fn assert_refused_on(fitted: &dyn Model<Vec<f64>>, edit: fn(&mut ModelStats), field: &str) {
+    let mut buf = Vec::new();
+    save_model(
+        &EditedStats {
+            inner: fitted,
+            edit,
+        },
+        0,
+        0,
+        &mut buf,
+    )
+    .unwrap();
+    let err =
+        load_model::<Vec<f64>, _, _, _>(&buf[..], Euclidean, KdTreeBuilder::default()).unwrap_err();
+    assert!(
+        matches!(err, PersistError::RebuildDiverged { field: f } if f == field),
+        "{field}: {err}"
+    );
+}
+
+#[test]
+fn diverged_witness_is_refused_by_field() {
+    let mut points: Vec<Vec<f64>> = (0..60)
+        .map(|i| vec![(i % 10) as f64, (i / 10) as f64, 0.0])
+        .collect();
+    points.push(vec![80.0, 80.0, 80.0]);
+    let fitted = McCatch::new(Params::default())
+        .unwrap()
+        .fit(points, Euclidean, KdTreeBuilder::default())
+        .unwrap();
+    // What a kd snapshot saved before the per-leaf eval accounting looks
+    // like: the same fit with a different eval count.
+    assert_refused_on(&fitted, |s| s.distance_evals += 1, "distance_evals");
+    assert_refused_on(
+        &fitted,
+        |s| s.cutoff_d = f64::from_bits(s.cutoff_d.to_bits() ^ 1),
+        "cutoff_d",
+    );
+    // The unedited model loads.
+    let mut buf = Vec::new();
+    save_model(&fitted, 0, 0, &mut buf).unwrap();
+    load_model::<Vec<f64>, _, _, _>(&buf[..], Euclidean, KdTreeBuilder::default()).unwrap();
 }
 
 #[test]
