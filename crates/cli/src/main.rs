@@ -57,7 +57,7 @@
 //!           [--drift FRAC] [--drift-recent N]
 //!           [--serve ADDR] [--tenants N] [--shards K]
 //!           [--save-model PATH] [--load-model PATH] [--replay-log PATH]
-//!           [--access-log PATH|off] [--slow-ms N]
+//!           [--access-log PATH|off] [--trace-slow-ms N] [--trace-capacity N]
 //! ```
 //!
 //! Persistence (`mccatch::persist`): `--save-model PATH` writes a
@@ -144,9 +144,6 @@ struct Cli {
     /// (structured NDJSON on stderr); a path appends there instead;
     /// the literal `off` disables access logging.
     access_log: Option<String>,
-    /// Serve-mode slow-request threshold in milliseconds; requests at or
-    /// over it enter the `GET /admin/debug/slow` ring (0 captures all).
-    slow_ms: u64,
     /// Serve-mode tracing threshold in milliseconds: `Some(ms)` collects
     /// a span tree on every request and tail-samples traces at least
     /// this slow — or ending in error — into the
@@ -226,7 +223,6 @@ fn parse_cli() -> Result<Cli, String> {
         replay_log: None,
         replay_fsync: 64,
         access_log: None,
-        slow_ms: 500,
         trace_slow_ms: None,
         trace_capacity: 64,
     };
@@ -321,11 +317,6 @@ fn parse_cli() -> Result<Cli, String> {
                     .map_err(|e| format!("--replay-fsync: {e}"))?
             }
             "--access-log" => cli.access_log = Some(need("--access-log")?),
-            "--slow-ms" => {
-                cli.slow_ms = need("--slow-ms")?
-                    .parse()
-                    .map_err(|e| format!("--slow-ms: {e}"))?
-            }
             "--trace-slow-ms" => {
                 cli.trace_slow_ms = Some(
                     need("--trace-slow-ms")?
@@ -349,7 +340,7 @@ fn parse_cli() -> Result<Cli, String> {
                             [--drift FRAC] [--drift-recent N]\n\
                             [--serve ADDR] [--tenants N] [--shards K]\n\
                             [--save-model PATH] [--load-model PATH] [--replay-log PATH]\n\
-                            [--access-log PATH|off] [--slow-ms N]\n\
+                            [--access-log PATH|off]\n\
                             [--trace-slow-ms N] [--trace-capacity N]\n\n\
                      csv mode:   one point per line, comma/whitespace separated finite floats\n\
                      lines mode: one string per line, Levenshtein distance\n\n\
@@ -394,19 +385,20 @@ fn parse_cli() -> Result<Cli, String> {
                      fsyncs the log every N events — a hard kill loses at most N\n\
                      tail events (0 = fsync every event).\n\n\
                      Serve mode writes a structured NDJSON access log (one JSON\n\
-                     object per request, with a request id echoed in\n\
-                     X-Mccatch-Request-Id) to stderr; --access-log PATH appends it\n\
-                     to PATH instead, and --access-log off disables it. Requests\n\
-                     taking at least --slow-ms N milliseconds (default 500; 0 =\n\
-                     every request) also enter a bounded in-memory ring served at\n\
-                     GET /admin/debug/slow.\n\n\
-                     --trace-slow-ms N turns on per-request tracing: every request\n\
-                     collects a span tree (parse/route/handle, the tenant shard\n\
-                     fan-out, per-event scoring, refit stages), the W3C traceparent\n\
-                     header is honored and echoed, and traces at least N ms long —\n\
-                     or ending in error — are tail-sampled (0 keeps every trace)\n\
-                     into a ring of --trace-capacity traces (default 64) served as\n\
-                     Perfetto-loadable Chrome trace JSON at GET /admin/debug/trace."
+                     object per request, with its duration_ms and a request id\n\
+                     echoed in X-Mccatch-Request-Id) to stderr; --access-log PATH\n\
+                     appends it to PATH instead, and --access-log off disables it.\n\
+                     Stage timings (route, handle, batch, shard fan-out and refit,\n\
+                     fit stages) are on GET /metrics whether or not tracing is on.\n\n\
+                     --trace-slow-ms N turns on per-request tracing, the slow-request\n\
+                     mechanism: every request collects a span tree (parse, route,\n\
+                     handle, the tenant shard fan-out, shard refit and fit stages),\n\
+                     the W3C traceparent header is honored and echoed, and traces at\n\
+                     least N ms long — or ending in error — are tail-sampled (0 keeps\n\
+                     every trace) into a ring of --trace-capacity traces (default 64)\n\
+                     served as Perfetto-loadable Chrome trace JSON at\n\
+                     GET /admin/debug/trace; each kept trace is also one \"trace\"\n\
+                     line in the access log."
                 );
                 std::process::exit(0);
             }
@@ -969,7 +961,6 @@ where
             Some("off") => AccessLog::Off,
             Some(path) => AccessLog::File(std::path::PathBuf::from(path)),
         },
-        slow_request_ms: cli.slow_ms,
         trace_slow_ms: cli.trace_slow_ms,
         trace_capacity: cli.trace_capacity,
         ..ServerConfig::default()

@@ -67,8 +67,9 @@ use crate::result::{McCatchOutput, Microcluster, RunStats};
 use crate::score::{complement_of_sorted, score_microclusters, McScores};
 use mccatch_index::{DistanceStats, IndexBuilder, RangeIndex};
 use mccatch_metric::{universal_code_length_f64, Metric};
+use mccatch_obs::{Span, StageId};
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Step-by-step construction of a validated [`McCatch`] detector.
 ///
@@ -170,12 +171,11 @@ impl McCatch {
         let points: Arc<[P]> = points.into();
         let metric = Arc::new(metric);
         let resolved = self.params.try_resolve(points.len())?;
-        let t0 = Instant::now();
+        let span = Span::enter(StageId::FitBuild);
         let tree = index_builder.build_all(Arc::clone(&points), Arc::clone(&metric));
         let diameter = tree.diameter_estimate();
         let grid = RadiusGrid::new(diameter, resolved.a);
-        let t_build = t0.elapsed();
-        mccatch_obs::record_stage("fit_build", t_build);
+        let t_build = span.finish();
         let d_build = tree.distance_stats().evals;
         Ok(Fitted {
             points,
@@ -572,7 +572,7 @@ where
                 return (plot, table.active_per_radius, timings);
             }
             let evals_before = self.tree.distance_stats().evals;
-            let t0 = Instant::now();
+            let span = Span::enter(StageId::FitCounting);
             let table = count_neighbors(
                 &self.tree,
                 &self.points,
@@ -580,18 +580,16 @@ where
                 self.resolved.c,
                 self.resolved.threads,
             );
-            let t_count = t0.elapsed();
-            mccatch_obs::record_stage("fit_counting", t_count);
+            let t_count = span.finish();
             let d_count = self.tree.distance_stats().evals - evals_before;
-            let t0 = Instant::now();
+            let span = Span::enter(StageId::FitPlotting);
             let plot = OraclePlot::from_counts(
                 &table,
                 self.grid.radii(),
                 self.resolved.b,
                 self.resolved.c,
             );
-            let t_plateaus = t0.elapsed();
-            mccatch_obs::record_stage("fit_plotting", t_plateaus);
+            let t_plateaus = span.finish();
             (
                 plot,
                 table.active_per_radius,
@@ -606,7 +604,7 @@ where
 
     fn spotted(&self) -> &(SpottedMcs, Duration) {
         self.spotted.get_or_init(|| {
-            let t0 = Instant::now();
+            let span = Span::enter(StageId::FitGelling);
             let spotted = spot_microclusters(
                 &self.points,
                 &self.metric,
@@ -615,8 +613,7 @@ where
                 self.cutoff(),
                 self.grid.radii(),
             );
-            let t_spot = t0.elapsed();
-            mccatch_obs::record_stage("fit_gelling", t_spot);
+            let t_spot = span.finish();
             (spotted, t_spot)
         })
     }
@@ -626,7 +623,7 @@ where
     fn scored(&self) -> &(Vec<Microcluster>, McScores, Duration) {
         self.scored.get_or_init(|| {
             let (spotted, _) = self.spotted();
-            let t0 = Instant::now();
+            let span = Span::enter(StageId::FitScoring);
             let scores = score_microclusters(
                 &self.points,
                 &self.metric,
@@ -637,8 +634,7 @@ where
                 self.grid.radii(),
                 self.resolved.threads,
             );
-            let t_score = t0.elapsed();
-            mccatch_obs::record_stage("fit_scoring", t_score);
+            let t_score = span.finish();
 
             // Rank most-strange-first (Probl. 1); deterministic tie-breaks.
             let mut microclusters: Vec<Microcluster> = spotted

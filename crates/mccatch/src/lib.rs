@@ -190,12 +190,11 @@ pub use mccatch_tenant as tenant;
 
 /// Observability: the lock-free log₂-bucketed latency
 /// [`obs::Histogram`] (mergeable, Prometheus exposition via
-/// [`obs::render_histogram`]), cheap stage spans ([`obs::Span`] and the
-/// process-global [`obs::record_stage`] recorder, surfaced as the
-/// `mccatch_stage_duration_seconds` family on `/metrics`), and the
-/// structured NDJSON [`obs::Logger`] + bounded slow-request
-/// [`obs::Ring`] behind the server's access log and
-/// `GET /admin/debug/slow`.
+/// [`obs::render_histogram`]), the one stage span [`obs::Span`] (each
+/// closes into the process-global [`obs::global`] recorder, surfaced as
+/// the `mccatch_stage_duration_seconds` family on `/metrics`, and nests
+/// in the current [`obs::trace`] when one is active), and the
+/// structured NDJSON [`obs::Logger`] behind the server's access log.
 pub use mccatch_obs as obs;
 
 /// Persistence: versioned model snapshots ([`persist::save_model`] /

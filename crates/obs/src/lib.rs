@@ -13,19 +13,20 @@
 //!   `_bucket`/`_sum`/`_count` text exposition. `mccatch-server` keeps
 //!   one per endpoint (and per tenant), plus per-NDJSON-line
 //!   histograms for `/score` and `/ingest`.
-//! * [`Span`] / [`record_stage`] — stage timing with a closed name
+//! * [`Span`] — the one way to time a region, over a closed stage
 //!   vocabulary ([`STAGES`], declared once with its [`StageId`] enum):
 //!   fit pipeline stages in `mccatch-core`, refit and swap latency in
-//!   `mccatch-stream`, shard fan-out and restore in `mccatch-tenant`,
-//!   snapshot save/load in `mccatch-persist`. Everything lands in the
+//!   `mccatch-stream`, shard fan-out, shard refit and restore in
+//!   `mccatch-tenant`, snapshot save/load in `mccatch-persist`, and
+//!   the request path in `mccatch-server`. Every span closes into the
 //!   process-global [`StageRecorder`] ([`global()`]), scraped by
-//!   `/metrics` as `mccatch_stage_duration_seconds`.
-//! * [`Logger`] / [`Fields`] / [`Ring`] — a leveled structured logger
-//!   writing one JSON object per line (monotonic timestamps, process
-//!   sequence numbers) to stderr or a file, and the bounded
-//!   slow-request ring buffer behind `GET /admin/debug/slow`. Failed
-//!   writes are dropped — logging never takes down serving — but
-//!   counted ([`Logger::dropped_lines`], exposed as
+//!   `/metrics` as `mccatch_stage_duration_seconds`, and inside a
+//!   traced region it is also a child span of that trace.
+//! * [`Logger`] / [`Fields`] — a leveled structured logger writing one
+//!   JSON object per line (monotonic timestamps, process sequence
+//!   numbers) to stderr or a file. Failed writes are dropped — logging
+//!   never takes down serving — but counted
+//!   ([`Logger::dropped_lines`], exposed as
 //!   `mccatch_log_dropped_lines_total`).
 //! * [`trace`] — per-request tracing: a [`trace::Trace`] collects a
 //!   tree of timed spans across the shard fan-out, a process-global
@@ -40,7 +41,7 @@
 //!   manifests.
 //!
 //! ```
-//! use mccatch_obs::{Histogram, Span};
+//! use mccatch_obs::{global, Histogram, Span, StageId};
 //! use std::time::Duration;
 //!
 //! let h = Histogram::new();
@@ -51,8 +52,12 @@
 //! assert!(snap.quantile(0.99) >= snap.quantile(0.5));
 //!
 //! {
-//!     let _span = Span::enter("persist_save"); // records on drop
+//!     let _span = Span::enter(StageId::PersistSave); // records on drop
 //! }
+//! let elapsed = Span::enter(StageId::PersistLoad).finish(); // or on finish
+//! let stages = global().snapshot();
+//! assert!(stages[StageId::PersistSave.index()].1.count() >= 1);
+//! assert!(elapsed < Duration::from_secs(60));
 //! ```
 
 #![deny(missing_docs)]
@@ -64,5 +69,5 @@ mod span;
 pub mod trace;
 
 pub use hist::{render_histogram, Histogram, HistogramSnapshot, BUCKETS, FIRST_POW, LAST_POW};
-pub use log::{json_escape, Fields, Level, Logger, Ring};
-pub use span::{global, record_stage, Span, StageId, StageRecorder, STAGES};
+pub use log::{json_escape, Fields, Level, Logger};
+pub use span::{global, Span, StageId, StageRecorder, STAGES};

@@ -1,15 +1,12 @@
-//! A structured NDJSON logger and the slow-request ring buffer.
+//! A structured NDJSON logger.
 //!
 //! Every log line is one JSON object: a monotonic millisecond timestamp
 //! (`ts_ms`, measured from logger creation so lines order correctly
 //! even across wall-clock steps), a process-unique sequence number, a
 //! level, an event name, and caller-supplied fields. Rendering is
-//! separated from writing so a rendered line can be reused — the server
-//! renders each access-log line once, writes it to the sink, and pushes
-//! the same string into the slow-request [`Ring`] when the request
-//! crossed the threshold.
+//! separated from writing, so a line's rendering cost can be measured
+//! on its own.
 
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
@@ -45,7 +42,7 @@ impl Level {
 
 /// Where rendered lines go.
 enum Sink {
-    /// Drop everything (rendering still works, for the slow ring).
+    /// Drop everything (rendering still works).
     Off,
     /// One `eprintln!`-style write per line.
     Stderr,
@@ -126,7 +123,7 @@ impl Logger {
 
     /// Renders one line — `{"ts_ms":…,"seq":…,"level":…,"event":…,…}`
     /// — without writing it. Always available, regardless of sink and
-    /// level, so callers can reuse the rendering (e.g. the slow ring).
+    /// level.
     pub fn render(&self, level: Level, event: &str, fields: &Fields) -> String {
         let ts_ms = self.start.elapsed().as_secs_f64() * 1e3;
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
@@ -260,61 +257,6 @@ impl Fields {
     pub fn raw(mut self, key: &str, json: &str) -> Self {
         let _ = write!(self.buf, ",\"{}\":{}", json_escape(key), json);
         self
-    }
-}
-
-/// A bounded ring of rendered log lines — the in-memory buffer behind
-/// `GET /admin/debug/slow`. Oldest lines are evicted first.
-#[derive(Debug)]
-pub struct Ring {
-    cap: usize,
-    lines: Mutex<VecDeque<String>>,
-}
-
-impl Ring {
-    /// An empty ring holding at most `cap` lines (`cap == 0` keeps
-    /// nothing).
-    pub fn new(cap: usize) -> Self {
-        Self {
-            cap,
-            lines: Mutex::new(VecDeque::with_capacity(cap.min(64))),
-        }
-    }
-
-    /// Appends a line, evicting the oldest once full.
-    pub fn push(&self, line: String) {
-        if self.cap == 0 {
-            return;
-        }
-        let mut lines = match self.lines.lock() {
-            Ok(l) => l,
-            Err(p) => p.into_inner(),
-        };
-        if lines.len() == self.cap {
-            lines.pop_front();
-        }
-        lines.push_back(line);
-    }
-
-    /// A copy of the buffered lines, oldest first.
-    pub fn lines(&self) -> Vec<String> {
-        match self.lines.lock() {
-            Ok(l) => l.iter().cloned().collect(),
-            Err(p) => p.into_inner().iter().cloned().collect(),
-        }
-    }
-
-    /// Number of lines currently buffered.
-    pub fn len(&self) -> usize {
-        match self.lines.lock() {
-            Ok(l) => l.len(),
-            Err(p) => p.into_inner().len(),
-        }
-    }
-
-    /// Whether the ring holds no lines.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -456,20 +398,5 @@ mod tests {
             &Fields::new().raw("spans", "[{\"name\":\"x\"}]"),
         );
         assert!(line.contains("\"spans\":[{\"name\":\"x\"}]"), "{line}");
-    }
-
-    #[test]
-    fn ring_is_bounded_and_fifo() {
-        let ring = Ring::new(2);
-        assert!(ring.is_empty());
-        ring.push("a".into());
-        ring.push("b".into());
-        ring.push("c".into());
-        assert_eq!(ring.len(), 2);
-        assert_eq!(ring.lines(), vec!["b".to_owned(), "c".to_owned()]);
-
-        let none = Ring::new(0);
-        none.push("x".into());
-        assert!(none.is_empty());
     }
 }

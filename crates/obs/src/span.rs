@@ -1,26 +1,26 @@
-//! Stage spans: named wall-clock timings of pipeline stages, recorded
-//! into per-stage [`Histogram`]s.
+//! Stage spans: the one way the stack times a region. A [`Span`] is a
+//! drop guard that records its wall-clock duration into the stage's
+//! [`Histogram`] and, inside a traced region, is also a child span of
+//! that trace.
 //!
 //! The stage names form a closed vocabulary ([`STAGES`]) spanning the
 //! whole stack — the fit pipeline in `mccatch-core`, refit and model
-//! swap in `mccatch-stream`, shard fan-out and restore in
-//! `mccatch-tenant`, and snapshot save/load in `mccatch-persist`. All
-//! layers record into one process-global [`StageRecorder`]
-//! ([`global()`]), which `/metrics` scrapes as the
+//! swap in `mccatch-stream`, shard fan-out, shard refit and restore in
+//! `mccatch-tenant`, snapshot save/load in `mccatch-persist`, and the
+//! request path (route, handle, batch scoring and ingest) in
+//! `mccatch-server`. All layers record into one process-global
+//! [`StageRecorder`] ([`global()`]), which `/metrics` scrapes as the
 //! `mccatch_stage_duration_seconds` family.
-//!
-//! Recording sites that already measure a `Duration` call
-//! [`record_stage`] directly; sites that bracket a region use the
-//! [`Span`] guard, which records on drop.
 
 use crate::hist::{Histogram, HistogramSnapshot};
-use std::sync::OnceLock;
+use crate::trace::{self, CurrentGuard, TraceSpan};
+use std::fmt::Display;
 use std::time::{Duration, Instant};
 
 /// Declares the stage vocabulary once: each `Variant = "name"` row
 /// becomes a [`StageId`] variant (its discriminant is the histogram
 /// index), a [`STAGES`] entry in the same position, and an arm of
-/// [`StageId::name`] and [`StageId::from_name`].
+/// [`StageId::name`].
 macro_rules! stages {
     ($($(#[$doc:meta])* $id:ident = $name:literal,)+) => {
         /// Every stage name the stack records, in exposition order (the
@@ -28,9 +28,9 @@ macro_rules! stages {
         pub const STAGES: &[&str] = &[$($name),+];
 
         /// The [`STAGES`] vocabulary as a compile-time enum: the
-        /// discriminant *is* the histogram index, so hot recording sites
-        /// resolve a stage to its slot with a jump table instead of a
-        /// linear name scan.
+        /// discriminant *is* the histogram index, and a misspelled
+        /// stage is a compile error rather than a silently empty
+        /// series.
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
         #[repr(usize)]
         pub enum StageId {
@@ -42,20 +42,10 @@ macro_rules! stages {
             pub const ALL: [StageId; STAGES.len()] = [$(StageId::$id),+];
 
             /// The exposition name, the same `&'static str` as the
-            /// matching [`STAGES`] entry.
+            /// matching [`STAGES`] entry (and the span name in traces).
             pub const fn name(self) -> &'static str {
                 match self {
                     $(StageId::$id => $name,)+
-                }
-            }
-
-            /// Resolves a stage name to its id — a compiler-generated
-            /// string match, not a linear scan. `None` for names outside
-            /// the closed vocabulary.
-            pub fn from_name(name: &str) -> Option<StageId> {
-                match name {
-                    $($name => Some(StageId::$id),)+
-                    _ => None,
                 }
             }
         }
@@ -73,18 +63,34 @@ stages! {
     FitGelling = "fit_gelling",
     /// `fit_scoring` — per-microcluster scoring.
     FitScoring = "fit_scoring",
-    /// `stream_refit` — a full background refit (`mccatch-stream`).
+    /// `stream_refit` — one refit of a stream detector, fit and swap,
+    /// successful or not (`mccatch-stream`).
     StreamRefit = "stream_refit",
     /// `stream_swap` — publishing the refit model into the store.
     StreamSwap = "stream_swap",
-    /// `tenant_fanout` — scatter/gather of a query across shards.
+    /// `tenant_fanout` — scatter/gather of a query batch across shards
+    /// (`mccatch-tenant`).
     TenantFanout = "tenant_fanout",
+    /// `shard_score` — one shard's share of a fan-out.
+    ShardScore = "shard_score",
+    /// `shard_refit` — one shard's synchronous refit in a tenant-wide
+    /// refit.
+    ShardRefit = "shard_refit",
     /// `tenant_restore` — rebuilding one tenant at warm restart.
     TenantRestore = "tenant_restore",
     /// `persist_save` — serializing a model snapshot.
     PersistSave = "persist_save",
     /// `persist_load` — deserializing a model snapshot.
     PersistLoad = "persist_load",
+    /// `route` — resolving a request to its tenant and endpoint
+    /// (`mccatch-server`; failed routes included).
+    Route = "route",
+    /// `handle` — dispatching a routed request to its endpoint.
+    Handle = "handle",
+    /// `score_batch` — scoring one NDJSON `/score` body.
+    ScoreBatch = "score_batch",
+    /// `ingest_batch` — ingesting one non-empty NDJSON `/ingest` body.
+    IngestBatch = "ingest_batch",
 }
 
 impl StageId {
@@ -95,24 +101,22 @@ impl StageId {
     }
 }
 
-/// The stage-timing sink: one [`Histogram`] per [`STAGES`] entry.
+/// The stage-timing sink: one [`Histogram`] per [`STAGES`] entry, fed
+/// only by [`Span`]s.
 #[derive(Debug)]
 pub struct StageRecorder {
-    hists: Vec<Histogram>,
-}
-
-impl Default for StageRecorder {
-    fn default() -> Self {
-        Self::new()
-    }
+    hists: [Histogram; STAGES.len()],
 }
 
 impl StageRecorder {
-    /// A recorder with one empty histogram per stage.
-    pub fn new() -> Self {
+    const fn new() -> Self {
         Self {
-            hists: STAGES.iter().map(|_| Histogram::new()).collect(),
+            hists: [const { Histogram::new() }; STAGES.len()],
         }
+    }
+
+    fn record(&self, stage: StageId, elapsed: Duration) {
+        self.hists[stage.index()].record(elapsed);
     }
 
     /// Snapshots every stage histogram, in [`STAGES`] order.
@@ -123,73 +127,88 @@ impl StageRecorder {
             .map(|(s, h)| (*s, h.snapshot()))
             .collect()
     }
-
-    /// Records into `stage`'s histogram by index — no name resolution.
-    pub fn record_stage_id(&self, stage: StageId, elapsed: Duration) {
-        self.hists[stage.index()].record(elapsed);
-    }
-
-    /// Records that `stage` (a [`STAGES`] member) took `elapsed`. Name
-    /// resolution is a compiler-generated string match
-    /// ([`StageId::from_name`]), not a linear scan; unknown names are
-    /// ignored.
-    pub fn record_stage(&self, stage: &str, elapsed: Duration) {
-        if let Some(id) = StageId::from_name(stage) {
-            self.record_stage_id(id, elapsed);
-        }
-    }
 }
 
-/// The process-global stage recorder every layer records into and
+/// The process-global stage recorder every [`Span`] records into and
 /// `/metrics` scrapes.
 pub fn global() -> &'static StageRecorder {
-    static GLOBAL: OnceLock<StageRecorder> = OnceLock::new();
-    GLOBAL.get_or_init(StageRecorder::new)
+    static GLOBAL: StageRecorder = StageRecorder::new();
+    &GLOBAL
 }
 
-/// Records a pre-measured stage duration into the global recorder —
-/// and, when the calling thread is inside a traced region, also
-/// attaches it as a child span of the thread-current trace span (see
-/// [`crate::trace::current`]). This is how the five `fit_*` stages
-/// become children of whichever trace triggered the fit with zero
-/// changes to the fit pipeline; with no trace active the behavior is
-/// exactly the global histogram recording, as before.
-pub fn record_stage(stage: &'static str, elapsed: Duration) {
-    debug_assert!(
-        StageId::from_name(stage).is_some(),
-        "unknown stage name {stage:?}: not a STAGES member"
-    );
-    global().record_stage(stage, elapsed);
-    crate::trace::attach_stage(stage, elapsed);
-}
-
-/// A drop guard that times a region into the global recorder:
-/// `let _span = Span::enter("persist_save");`.
+/// Times a region as one stage: `let _span = Span::enter(StageId::PersistSave);`.
+///
+/// On drop — or on [`Span::finish`], which also returns the duration —
+/// the elapsed time lands in the stage's histogram of the [`global()`]
+/// recorder. When a trace span is current on the thread
+/// ([`trace::current`]), the `Span` is also a child span named after
+/// the stage in that trace, and is itself the thread's current span
+/// until it closes, so spans opened inside it nest under it. With no
+/// trace current it costs two clock reads and one histogram record.
 #[derive(Debug)]
-pub struct Span {
-    stage: &'static str,
+pub struct Span(Option<Open>);
+
+#[derive(Debug)]
+struct Open {
+    stage: StageId,
     start: Instant,
+    traced: Option<(TraceSpan, CurrentGuard)>,
+}
+
+impl Open {
+    /// Records the stage; the trace span (if any) closes as `self`
+    /// drops on return.
+    fn close(self) -> Duration {
+        let elapsed = self.start.elapsed();
+        global().record(self.stage, elapsed);
+        elapsed
+    }
 }
 
 impl Span {
-    /// Starts timing `stage` now. Debug builds assert `stage` is a
-    /// [`STAGES`] member, so a typo'd name fails loudly in tests
-    /// instead of silently recording nothing.
-    pub fn enter(stage: &'static str) -> Self {
-        debug_assert!(
-            StageId::from_name(stage).is_some(),
-            "unknown stage name {stage:?}: not a STAGES member"
-        );
-        Self {
+    /// Starts timing `stage` now.
+    pub fn enter(stage: StageId) -> Self {
+        let start = Instant::now();
+        let traced = trace::current().map(|parent| {
+            let span = parent.child(stage.name(), start);
+            let current = span.make_current();
+            (span, current)
+        });
+        Span(Some(Open {
             stage,
-            start: Instant::now(),
+            start,
+            traced,
+        }))
+    }
+
+    /// Attaches a key=value attribute to the trace span. `value` is
+    /// formatted only when a trace is active; untraced, this is a
+    /// no-op.
+    pub fn attr(&mut self, key: &'static str, value: impl Display) {
+        if let Some(Open {
+            traced: Some((span, _)),
+            ..
+        }) = &mut self.0
+        {
+            span.attr(key, value.to_string());
         }
+    }
+
+    /// Closes the span now, recording it, and returns its duration —
+    /// the same `Duration` the stage histogram received.
+    pub fn finish(mut self) -> Duration {
+        self.0
+            .take()
+            .expect("only finish and drop close a span")
+            .close()
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        record_stage(self.stage, self.start.elapsed());
+        if let Some(open) = self.0.take() {
+            open.close();
+        }
     }
 }
 
@@ -197,45 +216,39 @@ impl Drop for Span {
 mod tests {
     use super::*;
 
+    fn count_of(recorder: &StageRecorder, stage: StageId) -> u64 {
+        recorder.snapshot()[stage.index()].1.count()
+    }
+
     #[test]
-    fn recorder_buckets_by_stage_and_ignores_unknown_names() {
+    fn recorder_buckets_by_stage() {
         let r = StageRecorder::new();
-        r.record_stage("fit_counting", Duration::from_micros(5));
-        r.record_stage("fit_counting", Duration::from_micros(5));
-        r.record_stage("persist_save", Duration::from_millis(1));
-        r.record_stage("not_a_stage", Duration::from_secs(1));
+        r.record(StageId::FitCounting, Duration::from_micros(5));
+        r.record(StageId::FitCounting, Duration::from_micros(5));
+        r.record(StageId::PersistSave, Duration::from_millis(1));
         let snap = r.snapshot();
         assert_eq!(snap.len(), STAGES.len());
-        let count_of = |name: &str| {
-            snap.iter()
-                .find(|(s, _)| *s == name)
-                .map(|(_, h)| h.count())
-                .unwrap()
-        };
-        assert_eq!(count_of("fit_counting"), 2);
-        assert_eq!(count_of("persist_save"), 1);
-        assert_eq!(count_of("fit_build"), 0);
+        assert_eq!(count_of(&r, StageId::FitCounting), 2);
+        assert_eq!(count_of(&r, StageId::PersistSave), 1);
+        assert_eq!(count_of(&r, StageId::FitBuild), 0);
         assert_eq!(snap.iter().map(|(_, h)| h.count()).sum::<u64>(), 3);
     }
 
     #[test]
     fn span_records_on_drop_into_the_global_recorder() {
-        let before: u64 = global()
-            .snapshot()
-            .iter()
-            .find(|(s, _)| *s == "stream_swap")
-            .map(|(_, h)| h.count())
-            .unwrap();
+        // `stream_swap` is recorded by no other test in this binary, so
+        // the delta is exact even with tests running in parallel.
+        let before = count_of(global(), StageId::StreamSwap);
         {
-            let _span = Span::enter("stream_swap");
+            let _span = Span::enter(StageId::StreamSwap);
         }
-        let after: u64 = global()
-            .snapshot()
-            .iter()
-            .find(|(s, _)| *s == "stream_swap")
-            .map(|(_, h)| h.count())
-            .unwrap();
-        assert_eq!(after, before + 1);
+        assert_eq!(count_of(global(), StageId::StreamSwap), before + 1);
+        Span::enter(StageId::StreamSwap).finish();
+        assert_eq!(
+            count_of(global(), StageId::StreamSwap),
+            before + 2,
+            "finish records once, and the drop after it records nothing"
+        );
     }
 
     #[test]
@@ -244,27 +257,29 @@ mod tests {
         for (i, (id, name)) in StageId::ALL.iter().zip(STAGES).enumerate() {
             assert_eq!(id.index(), i);
             assert_eq!(id.name(), *name);
-            assert_eq!(StageId::from_name(name), Some(*id));
         }
-        assert_eq!(StageId::from_name("not_a_stage"), None);
-        assert_eq!(StageId::from_name(""), None);
+        let mut names = STAGES.to_vec();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), STAGES.len(), "stage names are unique");
     }
 
     #[test]
-    fn record_stage_id_and_record_stage_land_in_the_same_slot() {
-        let r = StageRecorder::new();
-        r.record_stage_id(StageId::TenantFanout, Duration::from_micros(7));
-        r.record_stage("tenant_fanout", Duration::from_micros(7));
-        let snap = r.snapshot();
-        let (name, h) = &snap[StageId::TenantFanout.index()];
-        assert_eq!(*name, "tenant_fanout");
-        assert_eq!(h.count(), 2);
-    }
+    fn a_traced_span_is_current_while_open_and_formats_attrs_only_then() {
+        struct Loud;
+        impl Display for Loud {
+            fn fmt(&self, _: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                panic!("formatted an attribute with no trace active")
+            }
+        }
+        Span::enter(StageId::Route).attr("k", Loud);
 
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "not a STAGES member")]
-    fn span_enter_rejects_typod_stage_names_in_debug_builds() {
-        let _ = Span::enter("fit_buidl");
+        let t = trace::Trace::start("request", None);
+        let root = t.root_span("request");
+        let _cur = root.make_current();
+        let handle = Span::enter(StageId::Handle);
+        assert_eq!(trace::current().map(|h| h.id()), Some(root.id() + 1));
+        drop(handle);
+        assert_eq!(trace::current().map(|h| h.id()), Some(root.id()));
     }
 }

@@ -14,15 +14,15 @@
 //!
 //! Three pieces compose:
 //!
-//! * **Span trees** — [`Trace::root_span`] opens the root;
-//!   [`TraceSpan::child`] nests; a cloneable, `Send` [`SpanHandle`]
-//!   carries "attach children here" across the tenant shard fan-out's
-//!   worker threads. [`SpanHandle::make_current`] installs a span as
-//!   the thread's implicit parent so deep layers (the `fit_*` stages
-//!   in `mccatch-core`) attach via [`crate::record_stage`] without any
-//!   signature changes — and keep recording into the global
-//!   [`crate::StageRecorder`] exactly as before when no trace is
-//!   active.
+//! * **Span trees** — [`Trace::root_span`] opens the root and
+//!   [`TraceSpan::make_current`] installs it as the thread's implicit
+//!   parent. Every span below the root is a stage [`crate::Span`]:
+//!   entered while a trace span is current, it becomes a child in that
+//!   trace and the new current span, so deep layers (the `fit_*`
+//!   stages in `mccatch-core`) nest without any signature changes. A
+//!   cloneable, `Send` [`SpanHandle`] ([`current`]) carries the parent
+//!   across threads: the tenant's shard-refit workers make it current
+//!   before entering their own spans.
 //! * **Tail sampling** — traces are offered to the process-global
 //!   [`sampler()`] *after* they finish, so the decision can look at
 //!   the actual duration and error flag: only traces at least as slow
@@ -49,10 +49,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Hard cap on collected spans per trace; spans past the cap are
-/// counted in [`TraceData::dropped_spans`] instead of stored, so a
-/// pathological request (say, a 100k-line ingest batch) cannot balloon
-/// memory.
+/// Hard cap on collected spans per trace, so a pathological request
+/// (say, a refit fanned out over thousands of shards) cannot balloon
+/// memory. The cap applies in open order: a span whose id exceeds it is
+/// counted in [`TraceData::dropped_spans`] instead of stored. Parents
+/// open before their children, so a kept span's parent is always kept
+/// — an overflowing trace loses its youngest spans, never its root.
 pub const MAX_SPANS: usize = 512;
 
 // ---------------------------------------------------------------------
@@ -211,15 +213,14 @@ impl TraceInner {
     }
 
     fn push(&self, rec: SpanRecord) {
-        let mut spans = match self.spans.lock() {
-            Ok(s) => s,
-            Err(p) => p.into_inner(),
-        };
-        if spans.len() >= MAX_SPANS {
+        if rec.id > MAX_SPANS as u64 {
             self.dropped.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        spans.push(rec);
+        match self.spans.lock() {
+            Ok(mut s) => s.push(rec),
+            Err(p) => p.into_inner().push(rec),
+        }
     }
 }
 
@@ -314,9 +315,9 @@ impl Trace {
     }
 }
 
-/// An open span: records itself into the trace when dropped. Create
-/// children with [`TraceSpan::child`]; ship attachment points across
-/// threads with [`TraceSpan::handle`].
+/// An open span: records itself into the trace when dropped. Spans
+/// below the root are opened by [`crate::Span::enter`] while this one
+/// is current ([`TraceSpan::make_current`]).
 #[derive(Debug)]
 pub struct TraceSpan {
     inner: Arc<TraceInner>,
@@ -345,25 +346,14 @@ impl TraceSpan {
         self.id
     }
 
-    /// Opens a child span starting now.
-    pub fn child(&self, name: &'static str) -> TraceSpan {
-        TraceSpan::open(Arc::clone(&self.inner), name, self.id, Instant::now())
-    }
-
     /// Attaches a key=value attribute to this span.
-    pub fn attr(&mut self, key: &'static str, value: String) {
+    pub(crate) fn attr(&mut self, key: &'static str, value: String) {
         self.attrs.push((key, value));
-    }
-
-    /// Builder-style [`TraceSpan::attr`].
-    pub fn with_attr(mut self, key: &'static str, value: String) -> Self {
-        self.attrs.push((key, value));
-        self
     }
 
     /// A cheap, cloneable, `Send` handle for attaching children to
-    /// this span from other threads (the tenant fan-out workers).
-    pub fn handle(&self) -> SpanHandle {
+    /// this span.
+    fn handle(&self) -> SpanHandle {
         SpanHandle {
             inner: Arc::clone(&self.inner),
             id: self.id,
@@ -392,9 +382,9 @@ impl Drop for TraceSpan {
 }
 
 /// A cloneable, `Send` attachment point: "make children of span `id`
-/// in this trace". The tenant fan-out hands one to each shard worker;
-/// [`crate::record_stage`] uses the thread-current one to nest `fit_*`
-/// stages under whatever triggered the fit.
+/// in this trace". [`crate::Span::enter`] opens its trace span under
+/// the thread-current one; the tenant's shard-refit fan-out shares one
+/// with its worker threads, which make it current there.
 #[derive(Debug, Clone)]
 pub struct SpanHandle {
     inner: Arc<TraceInner>,
@@ -407,26 +397,9 @@ impl SpanHandle {
         self.id
     }
 
-    /// Opens a child span starting now.
-    pub fn child(&self, name: &'static str) -> TraceSpan {
-        TraceSpan::open(Arc::clone(&self.inner), name, self.id, Instant::now())
-    }
-
-    /// Records an already-measured child retroactively: the span is
-    /// back-dated so it *ends* now and lasted `elapsed`. This is how
-    /// pre-measured stage durations become trace spans.
-    pub fn record(&self, name: &'static str, elapsed: Duration) {
-        let id = self.inner.alloc_id();
-        let end_ns = self.inner.offset_ns(Instant::now());
-        let dur_ns = elapsed.as_nanos() as u64;
-        self.inner.push(SpanRecord {
-            id,
-            parent: self.id,
-            name,
-            start_ns: end_ns.saturating_sub(dur_ns),
-            dur_ns,
-            attrs: Vec::new(),
-        });
+    /// Opens a child span that started at `start`.
+    pub(crate) fn child(&self, name: &'static str, start: Instant) -> TraceSpan {
+        TraceSpan::open(Arc::clone(&self.inner), name, self.id, start)
     }
 
     /// Installs this span as the thread's current implicit parent
@@ -463,16 +436,6 @@ impl Drop for CurrentGuard {
         CURRENT.with(|c| {
             c.borrow_mut().pop();
         });
-    }
-}
-
-/// Attaches a pre-measured stage duration to the thread-current span,
-/// if any. Called by [`crate::record_stage`] after the histogram
-/// recording, so stage timings appear in traces with zero changes to
-/// the recording sites.
-pub(crate) fn attach_stage(stage: &'static str, elapsed: Duration) {
-    if let Some(h) = current() {
-        h.record(stage, elapsed);
     }
 }
 
@@ -643,8 +606,8 @@ fn clamped_intervals(spans: &[SpanRecord]) -> Vec<(usize, u64, u64)> {
                 let hi = raw.1.clamp(lo, pe);
                 (lo, hi)
             }
-            // Root span, or an unknown parent (dropped past the span
-            // cap): keep the raw interval.
+            // Root span, or a parent absent from the record set (only
+            // possible for hand-built records): keep the raw interval.
             None => raw,
         };
         bounds.insert(s.id, (lo, hi));
@@ -756,6 +719,8 @@ pub fn spans_json(trace: &TraceData) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Span, StageId};
+    use std::collections::HashSet;
 
     #[test]
     fn traceparent_round_trips_and_rejects_malformed_headers() {
@@ -810,11 +775,12 @@ mod tests {
         {
             let root = trace.root_span("request");
             {
-                let mut child = root.child("handle");
-                child.attr("endpoint", "score".into());
+                let _cur = root.make_current();
+                let mut child = Span::enter(StageId::Handle);
+                child.attr("endpoint", "score");
                 std::thread::sleep(Duration::from_millis(2));
-                let grand = child.child("score_batch").with_attr("lines", "3".into());
-                drop(grand);
+                let mut grand = Span::enter(StageId::ScoreBatch);
+                grand.attr("lines", 3);
             }
             trace.add_span(
                 "parse",
@@ -861,31 +827,51 @@ mod tests {
     fn span_cap_bounds_memory_and_counts_drops() {
         let trace = Trace::start("request", None);
         let root = trace.root_span("request");
+        // Parents close after their children: the root and `batch`
+        // close last, once the cap has long been reached.
+        let batch = root.handle().child("batch", Instant::now());
         for _ in 0..(MAX_SPANS + 10) {
-            drop(root.child("score"));
+            drop(batch.handle().child("event", Instant::now()));
         }
+        let (root_id, batch_id) = (root.id(), batch.id());
+        drop(batch);
         drop(root);
         let data = trace.finish(Vec::new());
         assert_eq!(data.spans.len(), MAX_SPANS);
-        // 10 children past the cap plus the root itself.
-        assert_eq!(data.dropped_spans, 11);
+        // The 12 youngest children (ids 513..=524) are past the cap.
+        assert_eq!(data.dropped_spans, 12);
+        let kept: HashSet<u64> = data.spans.iter().map(|s| s.id).collect();
+        assert!(kept.contains(&root_id), "the root is kept");
+        assert!(kept.contains(&batch_id), "the children's parent is kept");
+        for s in &data.spans {
+            assert!(
+                s.parent == 0 || kept.contains(&s.parent),
+                "span {} kept without its parent {}",
+                s.id,
+                s.parent
+            );
+        }
     }
 
     #[test]
     fn handles_attach_children_across_threads() {
         let trace = Trace::start("request", None);
         let root = trace.root_span("request");
-        let fanout = root.child("tenant_fanout");
+        let root_cur = root.make_current();
+        let fanout = Span::enter(StageId::TenantFanout);
+        let parent = current().expect("the fan-out span is current");
         std::thread::scope(|scope| {
             for shard in 0..3u64 {
-                let h = fanout.handle();
+                let parent = parent.clone();
                 scope.spawn(move || {
-                    let mut s = h.child("shard_score");
-                    s.attr("shard", shard.to_string());
+                    let _cur = parent.make_current();
+                    let mut s = Span::enter(StageId::ShardScore);
+                    s.attr("shard", shard);
                 });
             }
         });
         drop(fanout);
+        drop(root_cur);
         drop(root);
         let data = trace.finish(Vec::new());
         let fanout_id = data
@@ -912,7 +898,7 @@ mod tests {
             let _g = root.make_current();
             let top = current().expect("root current");
             assert_eq!(top.id(), root.id());
-            let child = root.child("handle");
+            let child = root.handle().child("handle", Instant::now());
             {
                 let _g2 = child.make_current();
                 assert_eq!(current().unwrap().id(), child.id());
@@ -920,23 +906,6 @@ mod tests {
             assert_eq!(current().unwrap().id(), root.id());
         }
         assert!(current().is_none());
-
-        // attach_stage is a no-op without a current span…
-        attach_stage("fit_build", Duration::from_millis(1));
-        // …and attaches a back-dated child with one.
-        {
-            let _g = root.make_current();
-            attach_stage("fit_build", Duration::from_millis(1));
-        }
-        drop(root);
-        let data = trace.finish(Vec::new());
-        let fits: Vec<_> = data
-            .spans
-            .iter()
-            .filter(|s| s.name == "fit_build")
-            .collect();
-        assert_eq!(fits.len(), 1);
-        assert_eq!(fits[0].dur_ns, 1_000_000);
     }
 
     #[test]
@@ -969,7 +938,7 @@ mod tests {
         // Includes the offer made while disabled.
         assert_eq!(s.seen(), 5);
         assert_eq!(s.kept(), 3);
-        // Ring capacity 2: the oldest kept trace was evicted.
+        // Capacity 2: the oldest kept trace was evicted.
         assert_eq!(s.traces().len(), 2);
 
         s.disable();
@@ -981,7 +950,7 @@ mod tests {
     fn chrome_export_emits_nested_complete_events() {
         let trace = Trace::start("request", None);
         let root = trace.root_span("request");
-        drop(root.child("handle"));
+        drop(root.handle().child("handle", Instant::now()));
         drop(root);
         let data = trace.finish(vec![("id", "r-1".into())]);
         let json = chrome_trace_json([&data]);

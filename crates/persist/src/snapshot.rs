@@ -128,7 +128,7 @@ pub fn save_model<P: PersistPoint, W: Write>(
     seq: u64,
     w: W,
 ) -> Result<u64, PersistError> {
-    let _span = mccatch_obs::Span::enter("persist_save");
+    let _span = mccatch_obs::Span::enter(mccatch_obs::StageId::PersistSave);
     let export = model.export().ok_or(PersistError::NotExportable)?;
     let stats = model.stats();
     // An exportable model always has a well-formed grid; a third-party
@@ -358,7 +358,7 @@ where
     B: IndexBuilder<P, M>,
     R: Read,
 {
-    let _span = mccatch_obs::Span::enter("persist_load");
+    let _span = mccatch_obs::Span::enter(mccatch_obs::StageId::PersistLoad);
     let raw = read_raw::<P, R>(r)?;
     if builder.backend_name() != raw.info.backend {
         return Err(PersistError::BackendMismatch {

@@ -9,7 +9,7 @@ use std::time::Duration;
 #[derive(Debug, Clone, PartialEq, Default)]
 pub enum AccessLog {
     /// No access log (the default — embedded servers and tests stay
-    /// quiet; the slow-request ring still fills).
+    /// quiet).
     #[default]
     Off,
     /// One NDJSON line per request to stderr.
@@ -74,20 +74,14 @@ pub struct ServerConfig {
     pub snapshot_path: Option<PathBuf>,
     /// Structured access-log destination (`--access-log` in the CLI).
     pub access_log: AccessLog,
-    /// Requests at least this many milliseconds end to end are captured
-    /// in the slow-request ring buffer served at
-    /// `GET /admin/debug/slow` (`--slow-ms` in the CLI; `0` captures
-    /// every request).
-    pub slow_request_ms: u64,
-    /// How many slow-request lines the ring buffer retains (oldest
-    /// evicted first; `0` disables the ring).
-    pub slow_log_capacity: usize,
-    /// Per-request tracing threshold (`--trace-slow-ms` in the CLI).
-    /// `Some(ms)` enables span collection on every request and
-    /// tail-samples traces at least `ms` milliseconds long — or ending
-    /// in error — into the ring served at `GET /admin/debug/trace`
-    /// (`0` keeps every trace). `None` (the default) disables tracing:
-    /// the per-request cost collapses to one atomic load.
+    /// Per-request tracing threshold (`--trace-slow-ms` in the CLI) —
+    /// the server's one slow-request mechanism. `Some(ms)` enables
+    /// span collection on every request and tail-samples traces at
+    /// least `ms` milliseconds long — or ending in error — into the
+    /// ring served at `GET /admin/debug/trace` (`0` keeps every
+    /// trace); each kept trace is also one `"trace"` line in the
+    /// access log. `None` (the default) disables tracing: the
+    /// per-request cost collapses to one atomic load.
     ///
     /// Tracing state is process-global (background refit traces from
     /// the stream layer land in the same ring), so a server with
@@ -110,8 +104,6 @@ impl Default for ServerConfig {
             retry_after_secs: 1,
             snapshot_path: None,
             access_log: AccessLog::Off,
-            slow_request_ms: 500,
-            slow_log_capacity: 128,
             trace_slow_ms: None,
             trace_capacity: 64,
         }

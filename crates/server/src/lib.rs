@@ -19,11 +19,11 @@
 //! | `/admin/snapshot` | POST | Persists the tenant's snapshot set under the configured `snapshot_path` — `{path}.{tenant}.{shard}` files plus a `{path}.{tenant}.manifest` written last, `{path}.default.*` for the bare path — each via `mccatch_persist::atomic_write`; answers `{"generation", "seq", "bytes", "path"}` (`path` is the `{path}.{tenant}.*` pattern), or `409` when persistence is not configured |
 //! | `/admin/snapshot/info` | GET | Reads the header of shard 0's snapshot (`{path}.{tenant}.0`) back (version, backend, points, generation) without loading the model; `404` until a snapshot exists |
 //! | `/healthz` | GET | Liveness, with the served model generation and process uptime in a JSON body (probes can detect a wedged swap loop) |
-//! | `/metrics` | GET | Prometheus text exposition: request/error counters, queue depth, `StreamStats`, `ModelStats`, live per-backend distance evaluations, plus latency histograms — per-endpoint `mccatch_request_duration_seconds`, per-NDJSON-line `mccatch_line_duration_seconds`, and cross-layer `mccatch_stage_duration_seconds`; the default tenant's series are unlabeled, each named tenant adds `{tenant=…}`-labeled series and per-shard queue gauges |
+//! | `/metrics` | GET | Prometheus text exposition: request/error counters, queue depth, `StreamStats`, `ModelStats`, live per-backend distance evaluations, plus latency histograms — per-endpoint `mccatch_request_duration_seconds`, per-NDJSON-line `mccatch_line_duration_seconds`, and `mccatch_stage_duration_seconds`, fed by every stage span (request route/handle/batch, shard fan-out and refit, fit, swap, restore, snapshot I/O) whether or not the request is traced; the default tenant's series are unlabeled, each named tenant adds `{tenant=…}`-labeled series and per-shard queue gauges |
 //! | `/t/{tenant}/score` … | POST/GET | Any of the five endpoints above, scoped to a named tenant; equivalently, send `X-Mccatch-Tenant: {tenant}` on the bare path. Unknown tenant → `404`, invalid name → `400` |
 //! | `/admin/tenants` | GET | Lists live named tenants (never the default tenant) |
 //! | `/admin/tenants/{name}` | PUT / DELETE | Creates (idempotently; the body is an optional NDJSON seed, fitted across the tenant's shards in parallel) or deletes a tenant; the name `default` is reserved (`400`) |
-//! | `/admin/debug/slow` | GET | The slow-request ring buffer: the access-log lines (NDJSON) of the most recent requests at or above `ServerConfig::slow_request_ms` |
+//! | `/admin/debug/trace` | GET | The slow-request ring: the span trees of the most recent traces at or above `ServerConfig::trace_slow_ms` (or ending in a 5xx) as Chrome trace-event JSON, loadable in Perfetto; the empty envelope while tracing is off |
 //!
 //! Malformed input degrades **per line**, not per batch: an unparsable
 //! or non-UTF-8 NDJSON line becomes a `{"line": N, "error": …}` object
@@ -36,7 +36,8 @@
 //! Every response carries an `X-Mccatch-Request-Id` header (echoed from
 //! the request when the client sent a sane one, generated otherwise),
 //! and `ServerConfig::access_log` emits one structured NDJSON line per
-//! request — see the repo-level `ARCHITECTURE.md` ("Observability").
+//! request, with its `duration_ms`, plus one `"trace"` line per kept
+//! trace — see the repo-level `ARCHITECTURE.md` ("Observability").
 //!
 //! Start a server with [`serve`]; stop it with
 //! [`ServerHandle::shutdown`] (graceful: in-flight requests drain). See

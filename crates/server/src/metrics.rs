@@ -30,15 +30,13 @@ pub(crate) enum Endpoint {
     Metrics,
     /// The `/admin/tenants` lifecycle routes.
     Tenants,
-    /// `GET /admin/debug/slow`.
-    DebugSlow,
     /// `GET /admin/debug/trace`.
     DebugTrace,
 }
 
 impl Endpoint {
     /// Every endpoint, in exposition order (matches the discriminants).
-    pub const ALL: [Endpoint; 10] = [
+    pub const ALL: [Endpoint; 9] = [
         Endpoint::Score,
         Endpoint::Ingest,
         Endpoint::Refit,
@@ -47,7 +45,6 @@ impl Endpoint {
         Endpoint::Healthz,
         Endpoint::Metrics,
         Endpoint::Tenants,
-        Endpoint::DebugSlow,
         Endpoint::DebugTrace,
     ];
 
@@ -79,7 +76,6 @@ impl Endpoint {
             Endpoint::Healthz => "healthz",
             Endpoint::Metrics => "metrics",
             Endpoint::Tenants => "tenants",
-            Endpoint::DebugSlow => "debug_slow",
             Endpoint::DebugTrace => "debug_trace",
         }
     }
@@ -624,7 +620,7 @@ pub(crate) fn render_prometheus(
     render_histogram(
         &mut out,
         "mccatch_stage_duration_seconds",
-        "Wall-clock time of pipeline stages across the stack (fit, refit, swap, fan-out, restore, snapshot I/O).",
+        "Wall-clock time of every stage span, sampled or not: request routing, handling and NDJSON batches, shard fan-out, shard refit, fit stages, refit and swap, restore, snapshot I/O.",
         &stage_series,
     );
     out

@@ -1,16 +1,15 @@
-//! Per-server observability state: request/line latency histograms,
-//! the structured access logger, and the slow-request ring buffer.
+//! Per-server observability state: request/line latency histograms and
+//! the structured access logger.
 //!
 //! One [`ServerObs`] lives in the server's `Shared` state. Workers
 //! record into it after writing each response; `/metrics` snapshots it
 //! into the `mccatch_request_duration_seconds` and
-//! `mccatch_line_duration_seconds` histogram families, and
-//! `GET /admin/debug/slow` dumps the ring.
+//! `mccatch_line_duration_seconds` histogram families.
 
 use crate::config::{AccessLog, ServerConfig};
 use crate::error::ServerError;
 use crate::metrics::Endpoint;
-use mccatch_obs::{Histogram, HistogramSnapshot, Level, Logger, Ring};
+use mccatch_obs::{Histogram, HistogramSnapshot, Level, Logger};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
@@ -56,10 +55,6 @@ pub(crate) struct ServerObs {
     pub line_ingest: Histogram,
     /// The structured logger behind the access log.
     pub logger: Logger,
-    /// Rendered access-log lines of slow requests, oldest first.
-    pub slow: Ring,
-    /// Threshold for the ring, in milliseconds (`0` captures all).
-    pub slow_ms: u64,
 }
 
 impl ServerObs {
@@ -90,8 +85,6 @@ impl ServerObs {
             line_score: Histogram::new(),
             line_ingest: Histogram::new(),
             logger,
-            slow: Ring::new(config.slow_log_capacity),
-            slow_ms: config.slow_request_ms,
         })
     }
 

@@ -29,7 +29,7 @@ use crate::service::{
 use mccatch_index::IndexBuilder;
 use mccatch_metric::Metric;
 use mccatch_obs::trace;
-use mccatch_obs::{json_escape, Fields, Histogram, Level};
+use mccatch_obs::{json_escape, Fields, Histogram, Level, Span, StageId};
 use mccatch_persist::PersistPoint;
 use mccatch_tenant::{valid_tenant_name, RouteKey, Tenant, TenantMap};
 use std::io::{BufReader, Write};
@@ -486,11 +486,8 @@ fn serve_connection(shared: &Shared, conn: TcpStream) {
     }
 }
 
-/// Emits the structured access-log line for one served request, and
-/// captures the same rendered line in the slow-request ring when the
-/// request crossed the `slow_request_ms` threshold. Renders nothing
-/// when neither applies, so the default configuration costs one float
-/// compare per request.
+/// Emits the structured access-log line for one served request.
+/// Renders nothing when the access log is off.
 fn log_request(
     shared: &Shared,
     req: &Request,
@@ -500,9 +497,7 @@ fn log_request(
     id: &str,
     elapsed: Duration,
 ) {
-    let duration_ms = elapsed.as_secs_f64() * 1e3;
-    let slow = duration_ms >= shared.obs.slow_ms as f64;
-    if !slow && !shared.obs.logger.enabled(Level::Info) {
+    if !shared.obs.logger.enabled(Level::Info) {
         return;
     }
     let mut fields = Fields::new()
@@ -510,21 +505,14 @@ fn log_request(
         .str("method", &req.method)
         .str("path", &req.target)
         .u64("status", resp.status as u64)
-        .f64("duration_ms", duration_ms)
+        .f64("duration_ms", elapsed.as_secs_f64() * 1e3)
         .str("endpoint", endpoint.map_or("-", Endpoint::name))
         .u64("bytes_in", req.body.len() as u64)
         .u64("bytes_out", resp.body.len() as u64);
     if let Some(tenant) = tenant {
         fields = fields.str("tenant", tenant);
     }
-    if slow {
-        fields = fields.bool("slow", true);
-    }
-    let line = shared.obs.logger.render(Level::Info, "request", &fields);
-    shared.obs.logger.write_line(Level::Info, &line);
-    if slow {
-        shared.obs.slow.push(line);
-    }
+    shared.obs.logger.log(Level::Info, "request", &fields);
 }
 
 /// Closes a request's trace and offers it to the process-global tail
@@ -684,19 +672,6 @@ fn route_tenants_admin(shared: &Shared, req: &Request) -> Response {
 /// resolved requests are counted, so only they record latency) and the
 /// tenant scope, for the worker's histogram recording and access log.
 fn route(shared: &Shared, req: &Request) -> (Response, Option<Endpoint>, Option<String>) {
-    if req.target == "/admin/debug/slow" {
-        if req.method != "GET" {
-            let resp = Response::text(405, format!("{} requires GET\n", req.target))
-                .with_header("allow", "GET".to_owned());
-            return (resp, None, None);
-        }
-        shared.counters.count_request(Endpoint::DebugSlow);
-        let mut body = shared.obs.slow.lines().join("\n");
-        if !body.is_empty() {
-            body.push('\n');
-        }
-        return (Response::ndjson(200, body), Some(Endpoint::DebugSlow), None);
-    }
     if req.target == "/admin/debug/trace" {
         if req.method != "GET" {
             let resp = Response::text(405, format!("{} requires GET\n", req.target))
@@ -719,7 +694,7 @@ fn route(shared: &Shared, req: &Request) -> (Response, Option<Endpoint>, Option<
     // and the endpoint/method match; an early return (404/405/bad
     // tenant) closes it on the way out, correctly charging the whole
     // request to routing.
-    let route_span = trace::current().map(|h| h.child("route"));
+    let route_span = Span::enter(StageId::Route);
     let (tenant, target) = match tenant_scope(req) {
         Ok(scope) => scope,
         Err(resp) => return (resp, None, None),
@@ -767,15 +742,11 @@ fn route(shared: &Shared, req: &Request) -> (Response, Option<Endpoint>, Option<
     }
     drop(route_span);
     shared.counters.count_request(endpoint);
-    // The `handle` span brackets the endpoint dispatch and is the
-    // thread-current parent while it runs, so the per-batch spans
-    // below — and anything deeper (tenant fan-out, stream scoring,
-    // fit stages) — nest under it.
-    let handle_span = trace::current().map(|h| {
-        h.child("handle")
-            .with_attr("endpoint", endpoint.name().to_owned())
-    });
-    let _handle_cur = handle_span.as_ref().map(trace::TraceSpan::make_current);
+    // The `handle` span brackets the endpoint dispatch, so the
+    // per-batch spans below — and anything deeper (tenant fan-out,
+    // shard refit, fit stages) — nest under it.
+    let mut handle_span = Span::enter(StageId::Handle);
+    handle_span.attr("endpoint", endpoint.name());
     let resp = match endpoint {
         Endpoint::Healthz => {
             // Generation and uptime in the body let probes tell a
@@ -810,21 +781,11 @@ fn route(shared: &Shared, req: &Request) -> (Response, Option<Endpoint>, Option<
             )
         }
         Endpoint::Score => {
-            let t0 = Instant::now();
-            let outcome = {
-                let mut span = trace::current().map(|h| h.child("score_batch"));
-                let _cur = span.as_ref().map(trace::TraceSpan::make_current);
-                let outcome = service.score_ndjson(&req.body);
-                if let Some(span) = span.as_mut() {
-                    span.attr("lines", (outcome.lines_ok + outcome.lines_err).to_string());
-                }
-                outcome
-            };
-            record_line_latency(
-                &shared.obs.line_score,
-                t0.elapsed(),
-                outcome.lines_ok + outcome.lines_err,
-            );
+            let mut span = Span::enter(StageId::ScoreBatch);
+            let outcome = service.score_ndjson(&req.body);
+            let lines = outcome.lines_ok + outcome.lines_err;
+            span.attr("lines", lines);
+            record_line_latency(&shared.obs.line_score, span.finish(), lines);
             ndjson_response(shared, outcome)
         }
         Endpoint::Ingest => {
@@ -835,21 +796,11 @@ fn route(shared: &Shared, req: &Request) -> (Response, Option<Endpoint>, Option<
                 Response::ndjson(200, String::new())
                     .with_header("x-mccatch-generation", service.generation().to_string())
             } else {
-                let t0 = Instant::now();
-                let outcome = {
-                    let mut span = trace::current().map(|h| h.child("ingest_batch"));
-                    let _cur = span.as_ref().map(trace::TraceSpan::make_current);
-                    let outcome = service.ingest_ndjson(&req.body);
-                    if let Some(span) = span.as_mut() {
-                        span.attr("lines", (outcome.lines_ok + outcome.lines_err).to_string());
-                    }
-                    outcome
-                };
-                record_line_latency(
-                    &shared.obs.line_ingest,
-                    t0.elapsed(),
-                    outcome.lines_ok + outcome.lines_err,
-                );
+                let mut span = Span::enter(StageId::IngestBatch);
+                let outcome = service.ingest_ndjson(&req.body);
+                let lines = outcome.lines_ok + outcome.lines_err;
+                span.attr("lines", lines);
+                record_line_latency(&shared.obs.line_ingest, span.finish(), lines);
                 ndjson_response(shared, outcome)
             }
         }
@@ -908,7 +859,7 @@ fn route(shared: &Shared, req: &Request) -> (Response, Option<Endpoint>, Option<
                 ),
             ),
         },
-        Endpoint::Tenants | Endpoint::DebugSlow | Endpoint::DebugTrace => {
+        Endpoint::Tenants | Endpoint::DebugTrace => {
             unreachable!("handled above")
         }
     };

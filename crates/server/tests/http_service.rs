@@ -184,66 +184,6 @@ fn every_response_carries_a_request_id_echoed_or_generated() {
 }
 
 #[test]
-fn slow_request_ring_serves_valid_ndjson_access_lines() {
-    // Threshold zero: every request is "slow", so the ring fills
-    // without needing an artificially slow handler.
-    let (server, _default) = start(ServerConfig {
-        slow_request_ms: 0,
-        ..ServerConfig::default()
-    });
-    let addr = server.local_addr();
-
-    let empty = get(addr, "/admin/debug/slow").unwrap();
-    assert_eq!(empty.status, 200);
-
-    let scored = post(addr, "/score", b"[4.5, 4.5]\n").unwrap();
-    assert_eq!(scored.status, 200);
-    let scored_id = scored.header("x-mccatch-request-id").unwrap().to_owned();
-
-    let slow = get(addr, "/admin/debug/slow").unwrap();
-    assert_eq!(slow.status, 200);
-    let text = slow.text().unwrap();
-    let score_line = text
-        .lines()
-        .find(|l| l.contains("\"path\":\"/score\""))
-        .unwrap_or_else(|| panic!("no /score line in ring:\n{text}"));
-    for needle in [
-        "\"event\":\"request\"",
-        "\"method\":\"POST\"",
-        "\"status\":200",
-        "\"duration_ms\":",
-        "\"endpoint\":\"score\"",
-        "\"slow\":true",
-        &format!("\"id\":\"{scored_id}\""),
-    ] {
-        assert!(
-            score_line.contains(needle),
-            "missing {needle:?} in {score_line}"
-        );
-    }
-    // Well-formed NDJSON: one object per line, balanced braces, no
-    // trailing garbage.
-    for line in text.lines() {
-        assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-    }
-
-    // POST is rejected with the proper Allow header.
-    let rejected = post(addr, "/admin/debug/slow", b"").unwrap();
-    assert_eq!(rejected.status, 405);
-}
-
-#[test]
-fn default_threshold_keeps_fast_requests_out_of_the_ring() {
-    let (server, _default) = start(ServerConfig::default());
-    let addr = server.local_addr();
-    let scored = post(addr, "/score", b"[4.5, 4.5]\n").unwrap();
-    assert_eq!(scored.status, 200);
-    let slow = get(addr, "/admin/debug/slow").unwrap();
-    assert_eq!(slow.status, 200);
-    assert_eq!(slow.text().unwrap(), "", "sub-500ms requests are not slow");
-}
-
-#[test]
 fn score_matches_the_model_store_bit_for_bit() {
     let (server, default) = start(ServerConfig::default());
     let detector = default.shard_detector(0).unwrap();

@@ -12,6 +12,7 @@
 use mccatch_core::McCatch;
 use mccatch_index::KdTreeBuilder;
 use mccatch_metric::Euclidean;
+use mccatch_obs::json::{parse, Json};
 use mccatch_server::client::{post, ClientResponse, Connection};
 use mccatch_server::{ndjson, serve, ServerConfig, ServerHandle};
 use mccatch_stream::{RefitPolicy, StreamConfig};
@@ -101,6 +102,37 @@ fn split_traceparent(tp: &str) -> (&str, &str, &str) {
     (parts[1], parts[2], parts[3])
 }
 
+/// The span names and the `dropped_spans` count of the exported trace
+/// with id `trace_id` in a `/admin/debug/trace` document.
+fn exported_trace(doc: &Json, trace_id: &str) -> (Vec<String>, u64) {
+    let events = doc.get("traceEvents").and_then(Json::as_array).unwrap();
+    let meta = events
+        .iter()
+        .find(|e| {
+            e.get("ph").and_then(Json::as_str) == Some("M")
+                && e.get("args")
+                    .and_then(|a| a.get("trace_id"))
+                    .and_then(Json::as_str)
+                    == Some(trace_id)
+        })
+        .unwrap_or_else(|| panic!("trace {trace_id} not exported"));
+    let tid = meta.get("tid").and_then(Json::as_f64);
+    let args = meta.get("args").unwrap();
+    let dropped = args
+        .get("dropped_spans")
+        .and_then(Json::as_u64)
+        .unwrap_or(0);
+    let names = events
+        .iter()
+        .filter(|e| {
+            e.get("ph").and_then(Json::as_str) == Some("X")
+                && e.get("tid").and_then(Json::as_f64) == tid
+        })
+        .map(|e| e.get("name").and_then(Json::as_str).unwrap().to_owned())
+        .collect();
+    (names, dropped)
+}
+
 #[test]
 fn traceparent_echo_and_debug_trace_end_to_end() {
     let client_tp = "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01";
@@ -162,7 +194,15 @@ fn traceparent_echo_and_debug_trace_end_to_end() {
         200
     );
 
-    // Ingest (covers the shard_ingest → score span path)…
+    // A 600-line ingest opens no per-event spans, so its trace keeps
+    // the whole request skeleton well inside the span cap.
+    let big: String = (0..600)
+        .map(|i| format!("[{}, {}]\n", i % 10, i / 60))
+        .collect();
+    let big_tp = "00-1bf7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01";
+    let resp = post_traced(addr, "/t/a/ingest", big.as_bytes(), big_tp);
+    assert_eq!(resp.status, 200);
+    // Ingest (covers the ingest_batch span path)…
     let resp = post(addr, "/t/a/ingest", b"[4.5, 4.5]\n").unwrap();
     assert_eq!(resp.status, 200);
     // …a synchronous refit (covers shard_refit → stream_refit →
@@ -170,7 +210,7 @@ fn traceparent_echo_and_debug_trace_end_to_end() {
     let resp = post(addr, "/t/a/admin/refit", b"").unwrap();
     assert_eq!(resp.status, 200);
     // …and a scored batch with a client traceparent (covers the
-    // tenant_fanout → shard_score → score path).
+    // tenant_fanout → shard_score path).
     let resp = post_traced(addr, "/t/a/score", b"[4.5, 4.5]\n[0.0, 0.0]\n", client_tp);
     assert_eq!(resp.status, 200);
     let echo = resp.header("traceparent").unwrap().to_owned();
@@ -215,7 +255,7 @@ fn traceparent_echo_and_debug_trace_end_to_end() {
     );
     // …the ingest and refit paths…
     for span in [
-        "\"shard_ingest\"",
+        "\"ingest_batch\"",
         "\"shard_refit\"",
         "\"stream_refit\"",
         "\"stream_swap\"",
@@ -225,6 +265,20 @@ fn traceparent_echo_and_debug_trace_end_to_end() {
     // …and the core fit stages, attached through the thread-local
     // current span with no signature plumbing.
     assert!(json.contains("\"fit_"), "no fit_* stage spans in {json}");
+
+    // The 600-line ingest kept its request skeleton and dropped nothing.
+    let doc = parse(&json).unwrap();
+    let (names, dropped) = exported_trace(&doc, "1bf7651916cd43dd8448eb211c80319c");
+    assert_eq!(
+        dropped, 0,
+        "spans dropped from a 600-line ingest: {names:?}"
+    );
+    for span in ["request", "handle", "ingest_batch"] {
+        assert!(
+            names.iter().any(|n| n == span),
+            "missing {span} in {names:?}"
+        );
+    }
 
     // The endpoint is GET-only.
     let resp = post(addr, "/admin/debug/trace", b"").unwrap();

@@ -14,7 +14,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 /// One scored event, as returned by
 /// [`StreamDetector::ingest`] / [`StreamDetector::ingest_at`].
@@ -100,7 +99,7 @@ impl<P> std::fmt::Debug for StreamCheckpoint<P> {
     }
 }
 
-/// Ring of the most recent flagged/unflagged verdicts, driving
+/// A ring of the most recent flagged/unflagged verdicts, driving
 /// [`RefitPolicy::Drift`]. `recent == 0` disables tracking (non-drift
 /// policies).
 #[derive(Debug)]
@@ -493,14 +492,9 @@ where
         // Score outside any lock, on a consistent (model, generation)
         // pair: a concurrent swap can land before or after, never "mid".
         let (model, generation) = self.shared.store.snapshot_tagged();
-        let mut score_span = mccatch_obs::trace::current().map(|h| h.child("score"));
         let score = model.score_one(&point);
         let cutoff = model.score_cutoff();
         let flagged = score > cutoff;
-        if let Some(sp) = score_span.as_mut() {
-            sp.attr("flagged", flagged.to_string());
-        }
-        drop(score_span);
         // An infinite cutoff means the model cannot discriminate at all
         // (degenerate cold start, or no MDL cut in the reference set).
         // The event itself is not flagged, but for the drift tracker
@@ -764,37 +758,27 @@ where
     B: IndexBuilder<P, M> + Clone + Send + Sync + 'static,
     B::Index: Send + Sync + 'static,
 {
-    use mccatch_obs::trace;
+    use mccatch_obs::{trace, Span, StageId};
     let _serialized = shared.refit_lock.lock().unwrap_or_else(|e| e.into_inner());
     let points = shared.state().window.points_in_order();
-    let refit_start = Instant::now();
     // A refit inside an already-traced request (synchronous
     // `refit_now`) nests its `stream_refit` span there; a background
-    // refit gets a standalone trace when the process sampler is on, so
-    // slow or failing worker-thread refits are tail-sampled too. The
-    // span is made current so the five `fit_*` stages inside
-    // `fit_and_warm` attach as its children; the stage histograms are
-    // recorded directly (not via the free `record_stage`) because the
-    // explicit spans here replace the flat stage attach.
+    // refit gets a standalone trace under a `refit` root when the
+    // process sampler is on, so slow or failing worker-thread refits
+    // are tail-sampled too. The five `fit_*` stages inside
+    // `fit_and_warm` and the `stream_swap` nest under `stream_refit`.
     let background = (trace::current().is_none() && trace::sampler().enabled())
         .then(|| trace::Trace::start("refit", None));
-    let refit_span = match &background {
-        Some(t) => Some(t.root_span("stream_refit")),
-        None => trace::current().map(|h| h.child("stream_refit")),
-    };
-    let cur = refit_span.as_ref().map(trace::TraceSpan::make_current);
+    let root = background.as_ref().map(|t| t.root_span("refit"));
+    let root_cur = root.as_ref().map(trace::TraceSpan::make_current);
+    let refit_span = Span::enter(StageId::StreamRefit);
     let outcome = fit_and_warm(&shared.mccatch, &shared.metric, &shared.builder, points);
     let result = match outcome {
         Ok((model, evals)) => {
-            mccatch_obs::global()
-                .record_stage_id(mccatch_obs::StageId::StreamRefit, refit_start.elapsed());
             shared.fit_distance_evals.fetch_add(evals, Ordering::AcqRel);
-            let swap_start = Instant::now();
-            let swap_span = refit_span.as_ref().map(|sp| sp.child("stream_swap"));
+            let swap_span = Span::enter(StageId::StreamSwap);
             shared.store.swap(model);
             drop(swap_span);
-            mccatch_obs::global()
-                .record_stage_id(mccatch_obs::StageId::StreamSwap, swap_start.elapsed());
             // Still under the refit lock, so this is our swap's
             // generation, not a later one's.
             let generation = shared.store.generation();
@@ -806,8 +790,9 @@ where
             Err(e)
         }
     };
-    drop(cur);
     drop(refit_span);
+    drop(root_cur);
+    drop(root);
     if let Some(t) = background {
         // Correlate the standalone trace with the generation the swap
         // published (the same number `/metrics` and the stats endpoint

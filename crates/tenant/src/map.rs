@@ -151,7 +151,7 @@ where
     /// missing set is
     /// [`MissingManifest`](TenantPersistError::MissingManifest).
     pub fn restore_default(&self, base: &Path) -> Result<Arc<Tenant<P, M, B>>, TenantPersistError> {
-        let _span = mccatch_obs::Span::enter("tenant_restore");
+        let _span = mccatch_obs::Span::enter(mccatch_obs::StageId::TenantRestore);
         let files = discover_tenants(base)?
             .remove(DEFAULT_TENANT)
             .unwrap_or_default();
@@ -245,7 +245,7 @@ where
             if name == DEFAULT_TENANT {
                 continue;
             }
-            let _span = mccatch_obs::Span::enter("tenant_restore");
+            let _span = mccatch_obs::Span::enter(mccatch_obs::StageId::TenantRestore);
             let (tenant, stats) = self.restore_one(base, &name, files, &self.spec)?;
             let mut map = self.tenants.write().unwrap_or_else(|e| e.into_inner());
             if map.contains_key(&name) {

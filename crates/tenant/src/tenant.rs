@@ -11,6 +11,8 @@ use crate::router::{RouteKey, ShardRouter};
 use mccatch_core::{McCatch, Model};
 use mccatch_index::IndexBuilder;
 use mccatch_metric::Metric;
+use mccatch_obs::trace::SpanHandle;
+use mccatch_obs::{Span, StageId};
 use mccatch_persist::{atomic_write, crc32, save_model, PersistPoint, ReplayWriter};
 use mccatch_stream::{ScoredEvent, StreamConfig, StreamDetector, StreamStats};
 use std::path::Path;
@@ -319,13 +321,7 @@ where
     /// shard this is exactly one `snapshot_tagged()` + `score_batch`
     /// pair — bit-identical to a plain detector.
     pub fn score_batch(&self, queries: &[P]) -> (Vec<f64>, u64) {
-        let t0 = std::time::Instant::now();
-        // When this batch runs inside a traced request, the fan-out
-        // becomes a `tenant_fanout` span with one `shard_score` child
-        // per shard. The stage histogram is recorded directly at the
-        // end (not via the free `record_stage`) so the trace carries
-        // the structured per-shard children instead of one flat span.
-        let fanout = mccatch_obs::trace::current().map(|h| h.child("tenant_fanout"));
+        let _fanout = Span::enter(StageId::TenantFanout);
         let snaps: Vec<(Arc<dyn Model<P>>, u64)> = self
             .shards
             .iter()
@@ -335,9 +331,8 @@ where
         let mut generation = 0;
         let mut scores = Vec::new();
         for (shard, (model, g)) in snaps.into_iter().enumerate() {
-            let _child = fanout
-                .as_ref()
-                .map(|f| f.child("shard_score").with_attr("shard", shard.to_string()));
+            let mut span = Span::enter(StageId::ShardScore);
+            span.attr("shard", shard);
             generation += g;
             if shard == 0 {
                 scores = model.score_batch(queries);
@@ -347,8 +342,6 @@ where
                 }
             }
         }
-        drop(fanout);
-        mccatch_obs::global().record_stage_id(mccatch_obs::StageId::TenantFanout, t0.elapsed());
         (scores, generation)
     }
 
@@ -378,24 +371,14 @@ where
                 shards: self.shards.len(),
             });
         };
-        let mut span = mccatch_obs::trace::current().map(|h| {
-            h.child("shard_ingest")
-                .with_attr("shard", shard.to_string())
-        });
         // Bounded admission: claim a slot or reject immediately. The
         // rejection is the backpressure signal — nothing ever queues
         // behind a hot shard, so serving workers stay available to
-        // other tenants. The CAS loop never blocks, but contention (and
-        // a rejection) still shows up as the `queue_admit` child span.
-        let admit = span.as_ref().map(|sp| sp.child("queue_admit"));
+        // other tenants.
         let mut depth = s.inflight.load(Ordering::Acquire);
         loop {
             if depth >= s.capacity {
                 s.rejected.fetch_add(1, Ordering::AcqRel);
-                if let Some(sp) = span.as_mut() {
-                    sp.attr("admission", "rejected".to_owned());
-                }
-                drop(admit);
                 return Err(TenantError::ShardSaturated {
                     tenant: self.name.clone(),
                     shard,
@@ -412,13 +395,7 @@ where
                 Err(current) => depth = current,
             }
         }
-        drop(admit);
         let _admission = Admission(&s.inflight);
-        // Made current so the shard detector's per-event `score` span
-        // nests under this one.
-        let _cur = span
-            .as_ref()
-            .map(mccatch_obs::trace::TraceSpan::make_current);
         Ok(match &s.replay {
             Some(log) => {
                 // The log lock is held across score+append so the log's
@@ -441,23 +418,22 @@ where
     /// The first shard error wins; other shards still complete their
     /// refit before this returns.
     pub fn refit_now(&self) -> Result<u64, TenantError> {
-        // Each shard thread gets its own `shard_refit` span handle made
-        // current there, so the stream layer's refit stages nest per
-        // shard inside whichever trace covers this fan-out.
+        // Each shard thread makes the caller's current trace span (if
+        // any) current there before entering its `shard_refit` span, so
+        // the stream layer's refit stages nest per shard inside
+        // whichever trace covers this fan-out.
         let parent = mccatch_obs::trace::current();
+        let parent = parent.as_ref();
         let results: Vec<Result<u64, _>> = std::thread::scope(|scope| {
             let handles: Vec<_> = self
                 .shards
                 .iter()
                 .enumerate()
                 .map(|(i, s)| {
-                    let child = parent
-                        .as_ref()
-                        .map(|h| h.child("shard_refit").with_attr("shard", i.to_string()));
                     scope.spawn(move || {
-                        let _cur = child
-                            .as_ref()
-                            .map(mccatch_obs::trace::TraceSpan::make_current);
+                        let _cur = parent.map(SpanHandle::make_current);
+                        let mut span = Span::enter(StageId::ShardRefit);
+                        span.attr("shard", i);
                         s.detector.refit_now()
                     })
                 })
