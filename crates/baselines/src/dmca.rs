@@ -8,10 +8,10 @@
 //! get isolated early — the "anomaly hourglass" effect. Point scores are
 //! averaged over the ensemble, and high scorers are then explicitly
 //! assigned to microclusters by proximity. We keep exactly that recipe and
-//! simplify the hourglass-based seeding and masking refinements
-//! (documented in `DESIGN.md` §4). D.MCA assigns clusters but does not
-//! score them — it misses the paper's goal G2 — so, like the original, the
-//! API exposes point scores plus raw assignments.
+//! simplify the hourglass-based seeding and masking refinements. D.MCA
+//! assigns clusters but does not score them — it misses the paper's goal
+//! G2 — so, like the original, the API exposes point scores plus raw
+//! assignments.
 
 use crate::iforest::IsolationForest;
 use crate::unionfind_small::UnionFind;

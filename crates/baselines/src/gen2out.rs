@@ -7,10 +7,9 @@
 //! reimplementation keeps that architecture — iForest point scores; fringe
 //! extraction; grouping of fringe points by proximity; a group score that
 //! grows with the group's isolation — while simplifying the X-ray-plot
-//! apex-extraction machinery of the original (documented in `DESIGN.md`
-//! §4). Tab. V's qualitative finding is preserved: the depth-based scores
-//! track isolation but are blind to cluster shape, so non-convex inlier
-//! shapes degrade it.
+//! apex-extraction machinery of the original. Tab. V's qualitative
+//! finding is preserved: the depth-based scores track isolation but are
+//! blind to cluster shape, so non-convex inlier shapes degrade it.
 
 use crate::iforest::IsolationForest;
 use mccatch_index::{pair_join, IndexBuilder, Neighbor, RangeIndex};

@@ -12,7 +12,7 @@
 //! | iForest | [`iforest_scores`] | isolation forest |
 //! | Gen2Out | [`gen2out()`] | simplified; the only group-scoring competitor |
 //! | D.MCA | [`dmca()`] | simplified; explicit microcluster assignment |
-//! | RDA | [`rpca_scores`] | robust-PCA substitution (see DESIGN.md §4) |
+//! | RDA | [`rpca_scores`] | robust-PCA substitution (see [`rpca`](mod@rpca)) |
 //! | DBSCAN / KMeans-- | [`dbscan_scores`] / [`kmeans_minus_minus`] | clustering-based |
 //! | OPTICS | [`optics_scores`] | reachability-plot detector (Tab. I) |
 //! | SCiForest | [`sciforest_scores`] | split-selected oblique iForest (Tab. I) |

@@ -7,8 +7,7 @@
 //! autoencoder — PCA — computes exactly. We therefore substitute a
 //! deterministic robust PCA: fit principal components by power iteration,
 //! trim the worst-reconstructed points, refit, and report the final
-//! reconstruction error as the score. The substitution is documented in
-//! `DESIGN.md` §4.
+//! reconstruction error as the score.
 
 /// Scores = reconstruction error after robust PCA with `k` components and
 /// `trim_rounds` refit rounds (each round drops the worst 5%).

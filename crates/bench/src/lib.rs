@@ -1,6 +1,8 @@
 //! Shared harness machinery for the experiment binaries that regenerate
-//! the paper's tables and figures (see `DESIGN.md` §5 for the experiment
-//! index).
+//! the paper's tables and figures: one binary per experiment under
+//! `src/bin`, named after it (`tab3_datasets`, `tab5_axioms`,
+//! `tab6_runtime`, `fig3_oracle`, `fig6_accuracy`, `fig7_scalability`,
+//! `fig9_sensitivity`, plus `ablation`).
 //!
 //! Each binary accepts simple `--key value` arguments; the harness keeps
 //! runs deterministic (fixed seeds), scales dataset sizes down by default
@@ -35,7 +37,8 @@ where
 }
 
 /// Minimal `--key value` / `--flag` argument parser for the harness
-/// binaries (kept dependency-free by design; see DESIGN.md §6).
+/// binaries, dependency-free like the rest of the workspace, which
+/// builds offline against the vendored stand-ins under `vendor/`.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
     values: BTreeMap<String, String>,

@@ -7,24 +7,31 @@
 //!
 //! * **Sparse-focused principle** — radius `r_1` is counted for everyone;
 //!   each subsequent radius is counted only for points whose previous count
-//!   was `≤ c`. A point's first count above `c` is recorded exactly (it is
-//!   needed to locate the end of its last unexcused plateau), after which
-//!   the point leaves the active set and its remaining cells hold
-//!   [`OVER`].
+//!   was `≤ c`. A point's first count above `c` is recorded (it is needed
+//!   to locate the end of its last unexcused plateau), after which the
+//!   point leaves the active set and its remaining cells hold [`OVER`].
+//!   [`count_neighbors`] records that crossing count exactly;
+//!   [`count_neighbors_within`] records `min(count, T_k)` for a crossing
+//!   at radius `k`, where `T_k` is the least count that already decides
+//!   the plateau test reading it
+//!   ([`crossing_ceilings`](crate::plateau::crossing_ceilings)), and so
+//!   stops counting that radius there. The two tables give the same
+//!   plateaus.
 //! * **Small-radii-only principle** — no join runs for `r_a = l`: every
 //!   point is a neighbor of every other at the diameter, so the last column
 //!   is filled with `n` directly.
 //! * **Count-only principle** — the underlying joins return counts, never
 //!   pairs (see `mccatch_index::batch_multi_range_count`).
 //!
-//! Since the radius grid is known up front, [`count_neighbors`] runs **one
-//! single-traversal join** over all `a - 1` joined radii: every point
-//! descends the tree once and fills all of its columns simultaneously
-//! (`RangeIndex::multi_range_count`), instead of re-descending once per
-//! radius. The historical per-radius formulation is kept as
+//! Since the radius grid is known up front, [`count_neighbors_within`]
+//! runs **one single-traversal join** over all `a - 1` joined radii:
+//! every point descends the tree once and fills all of its columns
+//! simultaneously (`RangeIndex::multi_range_count_within`), instead of
+//! re-descending once per radius. The historical per-radius formulation is kept as
 //! [`count_neighbors_per_radius`] — it is the executable specification the
-//! single-traversal path is tested (and benchmarked) against, and the two
-//! produce bit-identical [`CountTable`]s.
+//! single-traversal path is tested (and benchmarked) against, and it
+//! produces a [`CountTable`] bit-identical to the one of
+//! [`count_neighbors`].
 
 use mccatch_index::{batch_multi_range_count_into, batch_range_count, RangeIndex};
 
@@ -61,21 +68,50 @@ impl CountTable {
 
 /// Runs the counting stage for every radius except the last, applying the
 /// sparse-focused cutoff `c`. `index` must contain all `n` points of
-/// `points`; counts include the query point itself.
+/// `points`; counts include the query point itself. Each row's first
+/// count above `c` is exact.
 ///
-/// This is the **single-traversal** path (the hot loop of the whole
-/// system): the active set is partitioned across threads once, and each
-/// point fills all of its `a - 1` joined columns in one tree descent via
-/// `RangeIndex::multi_range_count` — subtrees wholly inside a suffix of
-/// the grid are bulk-added through their stored cardinality, subtrees out
-/// of reach of every radius are skipped, and columns that can only end
-/// [`OVER`] stop being refined as soon as a running count crosses `c`.
-/// The output is bit-identical to [`count_neighbors_per_radius`].
+/// This is [`count_neighbors_within`] with no ceilings, and its output is
+/// bit-identical to [`count_neighbors_per_radius`]: the exact oracle of
+/// the clamped table.
 pub fn count_neighbors<P, I>(
     index: &I,
     points: &[P],
     radii: &[f64],
     c: usize,
+    threads: usize,
+) -> CountTable
+where
+    P: Sync,
+    I: RangeIndex<P>,
+{
+    count_neighbors_within(index, points, radii, c, &[], threads)
+}
+
+/// [`count_neighbors`] with a crossing ceiling per joined radius: `ceil`
+/// holds one ceiling for each of `radii[..a - 1]`, each above `c` or
+/// [`OVER`] (none), or is empty. A row whose first count above `c` falls
+/// at radius `k` stores `min(count, ceil[k])` there; every other cell is
+/// as in [`count_neighbors`]. With the ceilings of
+/// [`crossing_ceilings`](crate::plateau::crossing_ceilings) the two
+/// tables give the same Oracle plot, and this one costs at most as many
+/// distance evaluations.
+///
+/// This is the **single-traversal** path (the hot loop of the whole
+/// system): the active set is partitioned across threads once, and each
+/// point fills all of its `a - 1` joined columns in one tree descent via
+/// `RangeIndex::multi_range_count_within` — subtrees wholly inside a
+/// suffix of the grid are bulk-added through their stored cardinality,
+/// subtrees out of reach of every radius are skipped, columns that can
+/// only end [`OVER`] stop being refined as soon as a running count
+/// crosses `c`, and the crossing column stops once it reaches its
+/// ceiling.
+pub fn count_neighbors_within<P, I>(
+    index: &I,
+    points: &[P],
+    radii: &[f64],
+    c: usize,
+    ceil: &[u32],
     threads: usize,
 ) -> CountTable
 where
@@ -97,6 +133,7 @@ where
         &queries,
         &radii[..m],
         cap,
+        ceil,
         threads,
         &mut counts,
         a,
@@ -135,8 +172,8 @@ where
 /// still-active point. Kept as the executable specification of
 /// [`count_neighbors`] (property tests assert bit-identical
 /// [`CountTable`]s) and as the baseline the `bench_stages` benchmark
-/// measures the single-traversal path against. Prefer
-/// [`count_neighbors`] everywhere else.
+/// measures the single-traversal path against. Its crossing counts are
+/// exact. Prefer [`count_neighbors_within`] everywhere else.
 pub fn count_neighbors_per_radius<P, I>(
     index: &I,
     points: &[P],

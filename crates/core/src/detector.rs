@@ -56,13 +56,14 @@
 //! # Ok::<(), mccatch_core::McCatchError>(())
 //! ```
 
-use crate::counts::count_neighbors;
+use crate::counts::{count_neighbors, count_neighbors_within};
 use crate::cutoff::{compute_cutoff, Cutoff};
 use crate::error::McCatchError;
 use crate::gel::{spot_microclusters, SpottedMcs};
 use crate::model::{Model, ModelExport, ModelStats};
 use crate::oracle::OraclePlot;
 use crate::params::{Params, RadiusGrid, Resolved};
+use crate::plateau::crossing_ceilings;
 use crate::result::{McCatchOutput, Microcluster, RunStats};
 use crate::score::{complement_of_sorted, score_microclusters, McScores};
 use mccatch_index::{DistanceStats, IndexBuilder, RangeIndex};
@@ -573,11 +574,21 @@ where
             }
             let evals_before = self.tree.distance_stats().evals;
             let span = Span::enter(StageId::FitCounting);
-            let table = count_neighbors(
+            // Each crossing count is needed only up to the least value
+            // that decides the plateau test reading it.
+            let radii = self.grid.radii();
+            let ceil = crossing_ceilings(
+                &radii[..radii.len() - 1],
+                self.resolved.b,
+                self.resolved.c,
+                self.points.len(),
+            );
+            let table = count_neighbors_within(
                 &self.tree,
                 &self.points,
-                self.grid.radii(),
+                radii,
                 self.resolved.c,
+                &ceil,
                 self.resolved.threads,
             );
             let t_count = span.finish();
@@ -799,6 +810,23 @@ mod tests {
                 threads: 2,
             }
         );
+    }
+
+    #[test]
+    fn cardinality_past_every_count_fits_without_ceilings() {
+        // No count can exceed such a `c`, so there is nothing to clamp,
+        // and deriving the ceilings must not overflow.
+        let pts = blob_with_strays();
+        for c in [pts.len(), usize::MAX] {
+            let out = McCatch::builder()
+                .max_mc_cardinality(c)
+                .build()
+                .unwrap()
+                .fit_ref(&pts, &Euclidean, &BruteForceBuilder)
+                .unwrap()
+                .detect();
+            assert_eq!(out.point_scores.len(), pts.len());
+        }
     }
 
     #[test]

@@ -7,14 +7,16 @@
 //! returns `Result<_, McCatchError>`; only the deprecated legacy entry
 //! points still panic, and they do so by unwrapping these errors.
 
+use crate::params::MAX_NUM_RADII;
 use std::fmt;
 
 /// Everything that can be wrong with a MCCATCH configuration.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum McCatchError {
-    /// `num_radii` (the paper's `a`) was below 2 — the radius grid needs
-    /// at least `{l/2, l}`.
+    /// `num_radii` (the paper's `a`) was outside `2..=64`: the radius grid
+    /// needs at least `{l/2, l}`, and its smallest radius `l/2^(a-1)`
+    /// needs `a - 1 < 64`.
     InvalidNumRadii {
         /// The rejected value.
         got: usize,
@@ -30,7 +32,11 @@ impl fmt::Display for McCatchError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::InvalidNumRadii { got } => {
-                write!(f, "num_radii (a) must be at least 2, got {got}")
+                write!(
+                    f,
+                    "num_radii (a) must be at least 2 and at most {MAX_NUM_RADII} \
+                     (2..={MAX_NUM_RADII}), got {got}"
+                )
             }
             Self::InvalidSlope { got } => {
                 write!(f, "max_plateau_slope (b) must be non-negative, got {got}")

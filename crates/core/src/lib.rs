@@ -91,7 +91,7 @@ pub use detector::{Fitted, McCatch, McCatchBuilder};
 pub use error::McCatchError;
 pub use model::{Model, ModelExport, ModelStats};
 pub use oracle::{OraclePlot, OraclePoint};
-pub use params::{Params, RadiusGrid, Resolved};
+pub use params::{Params, RadiusGrid, Resolved, MAX_NUM_RADII};
 pub use result::{McCatchOutput, Microcluster, RunStats};
 pub use score::def7_score;
 pub use serve::ModelStore;

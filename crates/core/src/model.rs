@@ -38,7 +38,7 @@
 //! # Ok::<(), mccatch_core::McCatchError>(())
 //! ```
 
-use crate::params::{Params, RadiusGrid};
+use crate::params::{Params, RadiusGrid, MAX_NUM_RADII};
 use crate::result::{McCatchOutput, Microcluster};
 use mccatch_index::DistanceStats;
 use mccatch_metric::universal_code_length_f64;
@@ -108,10 +108,13 @@ pub trait Model<P>: Send + Sync {
     /// those two numbers).
     fn score_cutoff(&self) -> f64 {
         let stats = self.stats();
-        // `num_radii < 2` also guards RadiusGrid::new's `a >= 2`
-        // contract against nonsensical third-party stats: invalid input
-        // stays a value, never a panic.
-        if stats.degenerate || !stats.cutoff_d.is_finite() || stats.num_radii < 2 {
+        // The `num_radii` range also guards RadiusGrid::new's
+        // `2..=MAX_NUM_RADII` contract against nonsensical third-party
+        // stats: invalid input stays a value, never a panic.
+        if stats.degenerate
+            || !stats.cutoff_d.is_finite()
+            || !(2..=MAX_NUM_RADII).contains(&stats.num_radii)
+        {
             return f64::INFINITY;
         }
         let grid = RadiusGrid::new(stats.diameter, stats.num_radii);

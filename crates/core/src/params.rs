@@ -6,11 +6,16 @@
 
 use crate::error::McCatchError;
 
+/// The largest valid `num_radii`: the grid divides the diameter by
+/// `2^(a-1)`, which must fit in a `u64`.
+pub const MAX_NUM_RADII: usize = 64;
+
 /// MCCATCH hyperparameters with the paper's defaults.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Params {
-    /// Number of neighborhood radii `a` (default 15, must be ≥ 2). The
-    /// radius grid is `{l/2^(a-1), …, l/2, l}` for diameter `l`.
+    /// Number of neighborhood radii `a` (default 15, must be in
+    /// `2..=`[`MAX_NUM_RADII`]). The radius grid is
+    /// `{l/2^(a-1), …, l/2, l}` for diameter `l`.
     pub num_radii: usize,
     /// Maximum plateau slope `b` (default 0.1, must be ≥ 0): how fast the
     /// neighbor count may grow (in log-log space) within a plateau.
@@ -36,13 +41,13 @@ impl Default for Params {
 
 impl Params {
     /// Checks the hyperparameter invariants without touching any data:
-    /// `num_radii ≥ 2` and `max_plateau_slope ≥ 0` (and not NaN).
+    /// `2 ≤ num_radii ≤ 64` and `max_plateau_slope ≥ 0` (and not NaN).
     ///
     /// An explicit `max_mc_cardinality` of 0 is *not* an error: it is
     /// clamped to 1 during resolution, exactly as the pre-staged-API
     /// releases did — the compatibility shims must keep their behavior.
     pub fn validate(&self) -> Result<(), McCatchError> {
-        if self.num_radii < 2 {
+        if !(2..=MAX_NUM_RADII).contains(&self.num_radii) {
             return Err(McCatchError::InvalidNumRadii {
                 got: self.num_radii,
             });
@@ -110,8 +115,11 @@ pub struct RadiusGrid {
 
 impl RadiusGrid {
     /// Builds the grid for estimated diameter `l` and `a` radii.
+    ///
+    /// # Panics
+    /// Panics unless `2 <= a <= MAX_NUM_RADII` and `diameter >= 0`.
     pub fn new(diameter: f64, a: usize) -> Self {
-        assert!(a >= 2);
+        assert!((2..=MAX_NUM_RADII).contains(&a));
         assert!(diameter >= 0.0);
         let radii = (0..a)
             .map(|k| diameter / (1u64 << (a - 1 - k)) as f64)
@@ -191,6 +199,25 @@ mod tests {
             p.try_resolve(10),
             Err(crate::error::McCatchError::InvalidNumRadii { got: 1 })
         );
+    }
+
+    #[test]
+    fn try_resolve_bounds_num_radii_by_the_grid_shift() {
+        let with = |num_radii| Params {
+            num_radii,
+            ..Params::default()
+        };
+        assert!(with(MAX_NUM_RADII).try_resolve(10).is_ok());
+        for bad in [MAX_NUM_RADII + 1, 70, usize::MAX] {
+            assert_eq!(
+                with(bad).try_resolve(10),
+                Err(crate::error::McCatchError::InvalidNumRadii { got: bad })
+            );
+        }
+        // The largest grid is still geometric and ascending.
+        let g = RadiusGrid::new(16.0, MAX_NUM_RADII);
+        assert!(g.radii().windows(2).all(|w| w[1] == 2.0 * w[0]));
+        assert_eq!(g.radii()[MAX_NUM_RADII - 1], 16.0);
     }
 
     #[test]

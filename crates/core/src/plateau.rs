@@ -9,6 +9,10 @@
 //! microclusters). The *first plateau* is the one of height 1; the *middle
 //! plateau* is the longest one with height above 1 that does not run into
 //! the final radius.
+//!
+//! [`crossing_ceilings`] states how much of a point's first count above
+//! `c` the sweep can read, so the counting stage can stop refining it
+//! there.
 
 use crate::counts::OVER;
 
@@ -43,14 +47,13 @@ pub fn find_plateaus(counts: &[u32], log_radii: &[f64], b: f64, c: usize) -> Poi
     let mut run_start = 0usize;
     // Sweep maximal quasi-flat runs over [0, last].
     for k in 0..=last {
-        let run_breaks = if k == last {
-            true
-        } else {
-            // SLOPE(k) = Δlog2(count) / Δlog2(radius) (Def. 1).
-            let dq = (counts[k + 1] as f64).log2() - (counts[k] as f64).log2();
-            let dr = log_radii[k + 1] - log_radii[k];
-            dq > b * dr
-        };
+        let run_breaks = k == last
+            || slope_breaks(
+                counts[k] as f64,
+                counts[k + 1] as f64,
+                log_radii[k + 1] - log_radii[k],
+                b,
+            );
         if !run_breaks {
             continue;
         }
@@ -84,6 +87,82 @@ pub fn find_plateaus(counts: &[u32], log_radii: &[f64], b: f64, c: usize) -> Poi
 #[inline]
 fn exp2(x: f64) -> f64 {
     x.exp2()
+}
+
+/// Whether the count step `q0 → q1` across a radius step of `dr` in
+/// log2 space breaks a quasi-flat run: SLOPE = Δlog2(count) /
+/// Δlog2(radius) exceeds `b` (Def. 1). The one float expression both
+/// [`find_plateaus`] and [`crossing_ceilings`] evaluate.
+#[inline]
+fn slope_breaks(q0: f64, q1: f64, dr: f64, b: f64) -> bool {
+    q1.log2() - q0.log2() > b * dr
+}
+
+/// The crossing ceiling of every joined column of the radius grid: the
+/// least count at which a point's first count above `c` decides
+/// everything [`find_plateaus`] reads of it.
+///
+/// `radii` are the joined (ascending) radii, `r_1 … r_{a-1}`; `n` bounds
+/// every count. Entry `k >= 1` is the least integer `t` with
+/// `c < t <= n` whose slope test from a count of `c` at `radii[k - 1]`
+/// breaks the run, with `log2(radii[j])` computed as
+/// [`OraclePlot::from_counts`](crate::oracle::OraclePlot::from_counts)
+/// does, or [`OVER`] (no ceiling) when no such `t` exists. Entry 0 is
+/// `c + 1`: a crossing at the first radius is never read.
+///
+/// Storing `min(count, ceilings[k])` for a row's crossing at column `k`
+/// leaves its [`PointPlateaus`] unchanged. The sweep reads the crossing
+/// cell `q*` in one place only: the slope test from column `k - 1`, whose
+/// count `q' <= c`. A run that starts at `k` spans one radius and is
+/// skipped, and a run through `k` takes its height from its start. IEEE
+/// subtraction is monotone, so if `log2` is non-decreasing on `1..=n`,
+/// every `q* >= ceilings[k]` breaks that run for every such `q'`, and a
+/// smaller `q*` is stored exactly. That premise is checked here, over
+/// `1..=n`; where it fails, no ceilings (an empty vector) are returned.
+pub fn crossing_ceilings(radii: &[f64], b: f64, c: usize, n: usize) -> Vec<u32> {
+    if !log2_is_monotone(n) {
+        return Vec::new();
+    }
+    let qc = c as f64;
+    let first = c.saturating_add(1);
+    let log_radii: Vec<f64> = radii.iter().map(|&r| r.log2()).collect();
+    let mut ceil = Vec::with_capacity(radii.len());
+    if !radii.is_empty() {
+        ceil.push(u32::try_from(first).unwrap_or(OVER));
+    }
+    for w in log_radii.windows(2) {
+        let breaks = |t: usize| slope_breaks(qc, t as f64, w[1] - w[0], b);
+        // `breaks` is monotone in `t` (log2 is, on 1..=n): the least `t`
+        // in `(c, n]` it holds for, by bisection; past `n` means none.
+        let (mut lo, mut hi) = (first, n.saturating_add(1).max(first));
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if breaks(mid) {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        ceil.push(if lo <= n {
+            u32::try_from(lo).unwrap_or(OVER)
+        } else {
+            OVER
+        });
+    }
+    ceil
+}
+
+/// Whether `log2` is non-decreasing over the integers `1..=n`, the
+/// premise of [`crossing_ceilings`]. A correctly rounded (or merely
+/// monotone) `log2` always is; this checks the platform's.
+fn log2_is_monotone(n: usize) -> bool {
+    let mut prev = f64::NEG_INFINITY;
+    (1..=n).all(|t| {
+        let l = (t as f64).log2();
+        let ok = l >= prev;
+        prev = l;
+        ok
+    })
 }
 
 #[cfg(test)]
@@ -212,5 +291,141 @@ mod tests {
         let p = find_plateaus(&counts, &log_radii(5), 0.1, 1);
         assert_eq!(p.first_end, Some(4));
         assert_eq!(p.middle, None);
+    }
+
+    /// Radii `2^log_radii[k]`, so `crossing_ceilings` reads back the same
+    /// log-radii `find_plateaus` gets.
+    fn radii_of(log_radii: &[f64]) -> Vec<f64> {
+        log_radii.iter().map(|&l| l.exp2()).collect()
+    }
+
+    #[test]
+    fn crossing_ceilings_equal_a_linear_scan() {
+        let doubling: Vec<f64> = (0..9).map(|k| 100.0 / (1u64 << (8 - k)) as f64).collect();
+        let uneven = vec![0.3, 0.31, 0.5, 2.0, 2.1, 9.0, 40.0, 41.0, 400.0];
+        for radii in [doubling, uneven] {
+            let lr: Vec<f64> = radii.iter().map(|r| r.log2()).collect();
+            for n in 0..48usize {
+                for c in 0..=n + 1 {
+                    for b in [0.0, 0.05, 0.1, 0.3, 1.0, 4.0] {
+                        let got = crossing_ceilings(&radii, b, c, n);
+                        let mut want = vec![c as u32 + 1];
+                        for k in 1..radii.len() {
+                            let dr = lr[k] - lr[k - 1];
+                            let t = (c + 1..=n)
+                                .find(|&t| (t as f64).log2() - (c as f64).log2() > b * dr);
+                            want.push(t.map_or(OVER, |t| t as u32));
+                        }
+                        assert_eq!(got, want, "n={n} c={c} b={b}");
+                    }
+                }
+            }
+        }
+        assert!(crossing_ceilings(&[], 0.1, 3, 10).is_empty());
+        // An absolute `c` past every count: no ceilings, and no overflow.
+        for c in [10, u32::MAX as usize, usize::MAX] {
+            assert!(crossing_ceilings(&[1.0, 2.0, 4.0], 0.1, c, 10)[1..]
+                .iter()
+                .all(|&t| t == OVER));
+        }
+    }
+
+    #[test]
+    fn crossing_ceilings_at_http_scale() {
+        // http-20k: c = 2,000 over the doubling grid at b = 0.1 gives
+        // 1.072c; b = 4 needs 16c > n, so there is no ceiling.
+        let radii: Vec<f64> = (0..14).map(|k| 64.0 / (1u64 << (14 - k)) as f64).collect();
+        let t = crossing_ceilings(&radii, 0.1, 2_000, 20_000);
+        assert_eq!(t[0], 2_001);
+        assert!(t[1..].iter().all(|&t| t == 2_144), "{t:?}");
+        let t = crossing_ceilings(&radii, 4.0, 2_000, 20_000);
+        assert!(t[1..].iter().all(|&t| t == OVER));
+    }
+
+    use proptest::prelude::*;
+
+    /// A count row whose first count above `c` falls at a joined column
+    /// `k* >= 1`: non-decreasing counts in `1..=c` before it, a crossing
+    /// in `(c, n]`, `OVER` after it — the shape the counting stage emits
+    /// — over a doubling or an uneven radius grid.
+    fn crossing_row() -> impl Strategy<Value = (Vec<u32>, Vec<f64>, usize, usize, usize, f64)> {
+        (
+            (3usize..16, 1usize..15, 1usize..400, 1usize..40),
+            prop::collection::vec(0.0..1.0f64, 16),
+            (0u8..2, prop::collection::vec(0.01..3.0f64, 16)),
+            (0.0..4.0f64, 0.0..1.0f64),
+        )
+            .prop_map(
+                |((a, at, c, spread), fill, (doubling, steps), (b, cross))| {
+                    let k_star = 1 + at % (a - 2);
+                    let n = c * spread + 1;
+                    let mut counts = vec![OVER; a];
+                    let mut q = 1u32;
+                    for (slot, &f) in counts[..k_star].iter_mut().zip(&fill) {
+                        q += ((c as u32 - q) as f64 * f) as u32;
+                        *slot = q;
+                    }
+                    counts[k_star] = c as u32 + 1 + ((n - c - 1) as f64 * cross) as u32;
+                    let mut log_radii = vec![0.0; a];
+                    for k in 1..a {
+                        let step = if doubling == 0 { 1.0 } else { steps[k] };
+                        log_radii[k] = log_radii[k - 1] + step;
+                    }
+                    (counts, log_radii, k_star, c, n, b)
+                },
+            )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn ceiling_leaves_the_plateaus_unchanged(
+            (counts, log_radii, k_star, c, n, b) in crossing_row(),
+            pick in 0.0..1.0f64,
+        ) {
+            let a = counts.len();
+            let radii = radii_of(&log_radii);
+            let lr: Vec<f64> = radii.iter().map(|r| r.log2()).collect();
+            let t = crossing_ceilings(&radii[..a - 1], b, c, n)[k_star];
+            let with = |v: u32| {
+                let mut row = counts.clone();
+                row[k_star] = v;
+                find_plateaus(&row, &lr, b, c)
+            };
+            // The clamp the counting stage applies keeps the plateaus...
+            prop_assert_eq!(with(counts[k_star].min(t)), with(counts[k_star]));
+            // ...because every value in [T, n] reads the same.
+            if t != OVER {
+                prop_assert!(t as usize > c && t as usize <= n);
+                let span = (n - t as usize) as f64;
+                for v in [n as u32, t + (span * pick) as u32, counts[k_star].max(t)] {
+                    prop_assert_eq!(with(v), with(t), "v={} T={}", v, t);
+                }
+            }
+        }
+
+        #[test]
+        fn no_smaller_ceiling_is_sound(b in 0.0..4.0f64, c in 2usize..500) {
+            // [1, c, c, T-1, OVER…] keeps the run from column 1 going
+            // through the crossing; [1, c, c, T, OVER…] breaks it there.
+            let log_radii: Vec<f64> = (0..8).map(|k| k as f64).collect();
+            let radii = radii_of(&log_radii);
+            let n = 20 * c;
+            let t = crossing_ceilings(&radii[..7], b, c, n)[3];
+            prop_assume!(t != OVER && t as usize > c + 1);
+            // The step 1 -> c must break, or the run would be the first
+            // plateau instead of a middle one.
+            prop_assume!((c as f64).log2() > b);
+            let row = |q: u32| {
+                let mut r = vec![OVER; 8];
+                r[..4].copy_from_slice(&[1, c as u32, c as u32, q]);
+                r
+            };
+            let below = find_plateaus(&row(t - 1), &log_radii, b, c);
+            let at = find_plateaus(&row(t), &log_radii, b, c);
+            prop_assert_eq!(below.middle, Some((1, 3)));
+            prop_assert_eq!(at.middle, Some((1, 2)));
+        }
     }
 }

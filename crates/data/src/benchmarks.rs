@@ -7,7 +7,7 @@
 //! dimensionality, outlier fraction, clustered inliers, scattered singleton
 //! outliers and — for the datasets the paper flags as containing
 //! nonsingleton microclusters (HTTP, Annthyroid) — planted tight
-//! microclusters. The substitution is documented in `DESIGN.md` §4.
+//! microclusters.
 
 use crate::labeled::LabeledData;
 use crate::rng::{gaussian_point, normal, rng, uniform_point};

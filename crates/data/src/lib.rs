@@ -4,7 +4,8 @@
 //! (KDD'99 HTTP, satellite imagery, name/fingerprint/skeleton collections)
 //! are replaced by synthetic analogues that preserve the geometry MCCATCH
 //! reacts to — cardinalities, dimensionalities, outlier fractions, planted
-//! microclusters; the substitutions are itemized in `DESIGN.md` §4.
+//! microclusters. Each generator's module doc states what it stands in
+//! for and which of those properties it reproduces.
 //!
 //! * [`axioms`] — the Fig. 2 isolation/cardinality scenarios (Tab. V).
 //! * [`benchmarks`] — the 18 vector benchmark analogues (Fig. 6, Tab. IV).

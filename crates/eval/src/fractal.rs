@@ -31,6 +31,10 @@ pub struct FractalDim {
 /// 15, is a good default); `max_queries` caps the number of correlation-
 /// integral query points for large datasets (deterministic striding, no
 /// sampling randomness).
+///
+/// # Panics
+/// Panics unless `3 <= num_radii <= 64`: the grid divides the diameter by
+/// `2^(num_radii - 1)`, which must fit in a `u64`.
 pub fn correlation_dimension<P, M, B>(
     points: &[P],
     metric: &M,
@@ -44,7 +48,10 @@ where
     B: IndexBuilder<P, M>,
 {
     let n = points.len();
-    assert!(num_radii >= 3);
+    assert!(
+        (3..=64).contains(&num_radii),
+        "num_radii {num_radii} not in 3..=64"
+    );
     if n < 3 {
         return FractalDim {
             dimension: 0.0,

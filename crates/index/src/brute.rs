@@ -76,13 +76,20 @@ impl<P: Send + Sync, M: Metric<P>> RangeIndex<P> for BruteForce<P, M> {
 
     /// One scan over the indexed elements fills every column: each element
     /// lands in the bucket of the smallest radius reaching it, and prefix
-    /// sums produce the per-radius counts. The `cap` cannot shorten the
-    /// scan here (there is no structure to skip), but the OVER masking
-    /// still matches the tree backends bit for bit.
-    fn multi_range_count(&self, q: &P, radii: &[f64], cap: u32) -> SmallCounts {
+    /// sums produce the per-radius counts. Neither the `cap` nor the
+    /// ceilings can shorten the scan here (there is no structure to skip),
+    /// but the OVER masking and the crossing clamp still match the tree
+    /// backends bit for bit.
+    fn multi_range_count_within(
+        &self,
+        q: &P,
+        radii: &[f64],
+        cap: u32,
+        ceil: &[u32],
+    ) -> SmallCounts {
         debug_assert!(radii.windows(2).all(|w| w[0] <= w[1]));
         let m = radii.len();
-        let mut counter = MultiCounter::new(m, cap);
+        let mut counter = MultiCounter::new(m, cap, ceil);
         for &i in &self.ids {
             let d = self.metric.distance(q, &self.points[i as usize]);
             let k = radii.partition_point(|&r| r < d);

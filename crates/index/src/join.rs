@@ -64,6 +64,7 @@ where
 /// count exceeding `cap` is exact and every later column holds
 /// [`OVER`] (see `multi_range_count`). Workers fill disjoint
 /// row chunks, so the result is bit-identical regardless of `threads`.
+/// [`batch_multi_range_count_into`] is the ceiling-aware form.
 pub fn batch_multi_range_count<P, I>(
     index: &I,
     points: &[P],
@@ -78,16 +79,31 @@ where
 {
     let m = radii.len();
     let mut out = vec![OVER; queries.len() * m];
-    batch_multi_range_count_into(index, points, queries, radii, cap, threads, &mut out, m);
+    batch_multi_range_count_into(
+        index,
+        points,
+        queries,
+        radii,
+        cap,
+        &[],
+        threads,
+        &mut out,
+        m,
+    );
     out
 }
 
-/// [`batch_multi_range_count`] writing into a caller-provided buffer:
-/// query `i`'s counts land in `out[i * stride .. i * stride + radii.len()]`
-/// (cells between `radii.len()` and `stride` are left untouched). This
-/// lets callers with wider rows — like `count_neighbors`' `n × a` table,
-/// whose last column is filled without a join — receive the counts in
-/// place instead of copying an `n × (a-1)` intermediate.
+/// [`batch_multi_range_count`] with crossing ceilings, writing into a
+/// caller-provided buffer: query `i`'s counts land in
+/// `out[i * stride .. i * stride + radii.len()]` (cells between
+/// `radii.len()` and `stride` are left untouched). This lets callers with
+/// wider rows — like `count_neighbors`' `n × a` table, whose last column
+/// is filled without a join — receive the counts in place instead of
+/// copying an `n × (a-1)` intermediate.
+///
+/// Each row is [`RangeIndex::multi_range_count_within`]`(q, radii, cap,
+/// ceil)`: its first count exceeding `cap`, at column `k`, is stored as
+/// `min(count, ceil[k])`. Empty `ceil` keeps it exact.
 ///
 /// # Panics
 /// Panics if `stride < radii.len()` or `out.len() != queries.len() * stride`.
@@ -98,6 +114,7 @@ pub fn batch_multi_range_count_into<P, I>(
     queries: &[u32],
     radii: &[f64],
     cap: u32,
+    ceil: &[u32],
     threads: usize,
     out: &mut [u32],
     stride: usize,
@@ -114,7 +131,7 @@ pub fn batch_multi_range_count_into<P, I>(
     let threads = threads.clamp(1, queries.len().max(1));
     let fill = |rows: &mut [u32], qchunk: &[u32]| {
         for (row, &q) in rows.chunks_mut(stride).zip(qchunk) {
-            let counts = index.multi_range_count(&points[q as usize], radii, cap);
+            let counts = index.multi_range_count_within(&points[q as usize], radii, cap, ceil);
             row[..m].copy_from_slice(&counts);
         }
     };
@@ -217,10 +234,29 @@ mod tests {
         let queries = [0u32, 5];
         let radii = [1.0, 2.0];
         let mut out = vec![77u32; queries.len() * 5];
-        batch_multi_range_count_into(&idx, &pts, &queries, &radii, 100, 1, &mut out, 5);
+        batch_multi_range_count_into(&idx, &pts, &queries, &radii, 100, &[], 1, &mut out, 5);
         // Endpoint 0: 2 and 3 in range; interior 5: 3 and 5. Cells past
         // the radii stay as the caller initialized them.
         assert_eq!(out, vec![2, 3, 77, 77, 77, 3, 5, 77, 77, 77]);
+    }
+
+    #[test]
+    fn batch_multi_into_clamps_the_crossing_to_its_ceiling() {
+        let pts = line(1000);
+        let idx = BruteForce::new(pts.clone(), (0..1000).collect(), Euclidean);
+        let queries: Vec<u32> = (0..1000).collect();
+        let radii = [0.5, 1.5, 4.5, 20.5];
+        let mut out = vec![OVER; queries.len() * radii.len()];
+        batch_multi_range_count_into(&idx, &pts, &queries, &radii, 5, &[6; 4], 8, &mut out, 4);
+        // The interior crossing 9 > 5 is stored as its ceiling 6.
+        assert_eq!(&out[500 * 4..501 * 4], &[1, 3, 6, OVER]);
+        let exact = batch_multi_range_count(&idx, &pts, &queries, &radii, 5, 1);
+        for (got, want) in out.chunks(4).zip(exact.chunks(4)) {
+            let k = want.iter().position(|&q| q > 5).unwrap();
+            assert_eq!(got[..k], want[..k]);
+            assert_eq!(got[k], want[k].min(6));
+            assert_eq!(got[k + 1..], want[k + 1..]);
+        }
     }
 
     #[test]

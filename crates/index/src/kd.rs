@@ -249,9 +249,10 @@ impl<P: AsRef<[f64]>> KdTree<P> {
     /// bounding box contribute nothing (advance `lo`), columns whose
     /// radius covers the whole box take the subtree cardinality in one
     /// bulk-add (shrink `hi`), and columns at or past the counter's
-    /// watermark can only end OVER (clamp `hi`). The pruning predicates
-    /// are the same as [`Self::count_rec`]'s, over the same box bounds,
-    /// so the counts match the per-radius path bit for bit.
+    /// watermark are decided, OVER or a settled crossing (clamp `hi`). The
+    /// pruning predicates are the same as [`Self::count_rec`]'s, over the
+    /// same box bounds, so the counts match the per-radius path bit for
+    /// bit.
     /// `(min2, max2)` are this node's squared bounding-box bounds
     /// ([`Self::bounds2`]), computed by the parent (`min2` orders the
     /// children) and passed down so each box is evaluated exactly once.
@@ -400,9 +401,15 @@ impl<P: AsRef<[f64]> + Send + Sync> RangeIndex<P> for KdTree<P> {
     }
 
     /// One descent fills every radius column (see the private `multi_rec`).
-    fn multi_range_count(&self, q: &P, radii: &[f64], cap: u32) -> SmallCounts {
+    fn multi_range_count_within(
+        &self,
+        q: &P,
+        radii: &[f64],
+        cap: u32,
+        ceil: &[u32],
+    ) -> SmallCounts {
         debug_assert!(radii.windows(2).all(|w| w[0] <= w[1]));
-        let mut counter = MultiCounter::new(radii.len(), cap);
+        let mut counter = MultiCounter::new(radii.len(), cap, ceil);
         if !self.ids.is_empty() && !radii.is_empty() {
             let q = q.as_ref();
             let r2: Vec<f64> = radii.iter().map(|&r| r * r).collect();

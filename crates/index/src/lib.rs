@@ -20,7 +20,8 @@
 //!   asks for pairs (the microcluster gelling step). The multi-radius
 //!   variant drives MCCATCH's counting stage: one tree descent per query
 //!   fills the counts for every grid radius at once
-//!   ([`RangeIndex::multi_range_count`], native in all four backends).
+//!   ([`RangeIndex::multi_range_count_within`], native in all four
+//!   backends).
 //!
 //! All indexes implement [`RangeIndex`]; algorithms are generic over
 //! [`IndexBuilder`] so the same pipeline runs on metric or vector data.
@@ -53,7 +54,10 @@ use std::sync::Arc;
 ///
 /// [`RangeIndex::multi_range_count`] stores this in every column after the
 /// first count that crosses the sparse-focused cutoff `c` (Sec. IV-G of the
-/// paper); `mccatch-core` re-exports it as `counts::OVER`.
+/// paper), and keeps that first count exact;
+/// [`RangeIndex::multi_range_count_within`] stores it there too, after a
+/// crossing count clamped to its ceiling. `mccatch-core` re-exports it as
+/// `counts::OVER`. As a ceiling it means "none".
 pub const OVER: u32 = u32::MAX;
 
 /// Inline capacity of [`SmallCounts`]. The paper's default grid (`a = 15`)
@@ -66,7 +70,9 @@ const SMALL_COUNTS_INLINE: usize = 16;
 ///
 /// Entries after the first count exceeding the query's `cap` hold [`OVER`]
 /// — they were not computed, matching the sparse-focused counting
-/// principle. Dereferences to `&[u32]` for slice-style access.
+/// principle — and that first count may be clamped to a ceiling
+/// ([`RangeIndex::multi_range_count_within`]). Dereferences to `&[u32]`
+/// for slice-style access.
 #[derive(Debug, Clone)]
 pub struct SmallCounts {
     len: usize,
@@ -207,28 +213,53 @@ pub trait RangeIndex<P>: Sync {
     /// `cap` is the sparse-focused cutoff `c`: entry `k` of the result is
     /// the exact count at `radii[k]` as long as every smaller radius
     /// counted at most `cap`; the first count exceeding `cap` is still
-    /// exact (plateau extraction needs the crossing value), and every
-    /// entry after it holds [`OVER`]. Pass `cap = u32::MAX` for fully
-    /// exact counts at all radii.
+    /// exact, and every entry after it holds [`OVER`]. Pass
+    /// `cap = u32::MAX` for fully exact counts at all radii.
+    ///
+    /// This is [`multi_range_count_within`](Self::multi_range_count_within)
+    /// with no ceilings, the exact oracle of the clamped counts.
+    fn multi_range_count(&self, q: &P, radii: &[f64], cap: u32) -> SmallCounts {
+        self.multi_range_count_within(q, radii, cap, &[])
+    }
+
+    /// [`multi_range_count`](Self::multi_range_count) with a crossing
+    /// ceiling per radius: the first count exceeding `cap`, at some
+    /// column `k`, is stored as `min(count, ceil[k])`, and the traversal
+    /// stops refining that column once its running count reaches
+    /// `ceil[k]`. Every other entry is as in `multi_range_count`. Each
+    /// ceiling must exceed `cap` or be [`OVER`] (no ceiling); `ceil` holds
+    /// one per radius, or is empty for exact crossing counts. MCCATCH's
+    /// plateau test reads nothing of a crossing count beyond such a
+    /// ceiling (`mccatch_core::plateau::crossing_ceilings`).
     ///
     /// The provided default falls back to one [`range_count`] call per
-    /// radius (stopping at the first crossing); the four in-crate backends
-    /// override it with native one-descent traversals that bulk-add
-    /// subtrees wholly covered by a suffix of the radius grid, skip
-    /// subtrees out of reach of every still-active radius, and stop
-    /// refining radii that can only end [`OVER`]. Results are identical to
-    /// the fallback bit for bit.
+    /// radius (stopping at the first crossing, which it clamps); the four
+    /// in-crate backends override it with native one-descent traversals
+    /// that bulk-add subtrees wholly covered by a suffix of the radius
+    /// grid, skip subtrees out of reach of every still-active radius, and
+    /// stop refining radii whose stored value is already decided: those
+    /// after the crossing, which can only end [`OVER`], and the crossing
+    /// itself once it holds its ceiling. Results are identical to the
+    /// fallback bit for bit.
     ///
     /// [`range_count`]: Self::range_count
-    fn multi_range_count(&self, q: &P, radii: &[f64], cap: u32) -> SmallCounts {
+    fn multi_range_count_within(
+        &self,
+        q: &P,
+        radii: &[f64],
+        cap: u32,
+        ceil: &[u32],
+    ) -> SmallCounts {
         debug_assert!(radii.windows(2).all(|w| w[0] <= w[1]));
+        debug_assert!(ceil.is_empty() || ceil.len() == radii.len());
         let mut out = SmallCounts::filled(radii.len(), OVER);
         for (k, &r) in radii.iter().enumerate() {
             let c = self.range_count(q, r) as u32;
-            out.as_mut_slice()[k] = c;
             if c > cap {
+                out.as_mut_slice()[k] = ceil.get(k).map_or(c, |&t| c.min(t));
                 break;
             }
+            out.as_mut_slice()[k] = c;
         }
         out
     }

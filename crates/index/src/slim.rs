@@ -477,7 +477,8 @@ impl<P, M: Metric<P>> SlimTree<P, M> {
     /// shortcut applied per column), entries out of reach of every active
     /// radius are skipped without a distance evaluation (the stored
     /// parent-distance triangle bound), and columns at or past the counter
-    /// watermark can only end OVER and are no longer refined. All
+    /// watermark are decided (OVER or a settled crossing) and are no
+    /// longer refined. All
     /// predicates are textually those of [`Self::count_rec`] — including
     /// the triangle-bound skip, folded in via `max(d, bound)` — so counts
     /// match the per-radius path bit for bit.
@@ -661,9 +662,15 @@ impl<P: Send + Sync, M: Metric<P>> RangeIndex<P> for SlimTree<P, M> {
     }
 
     /// One descent fills every radius column (see the private `multi_rec`).
-    fn multi_range_count(&self, q: &P, radii: &[f64], cap: u32) -> SmallCounts {
+    fn multi_range_count_within(
+        &self,
+        q: &P,
+        radii: &[f64],
+        cap: u32,
+        ceil: &[u32],
+    ) -> SmallCounts {
         debug_assert!(radii.windows(2).all(|w| w[0] <= w[1]));
-        let mut counter = MultiCounter::new(radii.len(), cap);
+        let mut counter = MultiCounter::new(radii.len(), cap, ceil);
         if self.len > 0 && !radii.is_empty() {
             self.multi_rec(self.root, q, radii, 0, radii.len(), None, &mut counter);
             self.evals.fetch_add(counter.evals, Ordering::Relaxed);

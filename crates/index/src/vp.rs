@@ -196,7 +196,8 @@ impl<P, M: Metric<P>> VpTree<P, M> {
     /// column at once. Columns whose radius covers the whole subtree take
     /// the cardinality in one bulk-add; each child's window drops the
     /// columns whose radius cannot reach its shell; columns at or past the
-    /// counter watermark can only end OVER and are no longer refined. All
+    /// counter watermark are decided (OVER or a settled crossing) and are
+    /// no longer refined. All
     /// predicates are textually those of [`Self::count_rec`], so counts
     /// match the per-radius path bit for bit.
     fn multi_rec(
@@ -348,9 +349,15 @@ impl<P: Send + Sync, M: Metric<P>> RangeIndex<P> for VpTree<P, M> {
     }
 
     /// One descent fills every radius column (see the private `multi_rec`).
-    fn multi_range_count(&self, q: &P, radii: &[f64], cap: u32) -> SmallCounts {
+    fn multi_range_count_within(
+        &self,
+        q: &P,
+        radii: &[f64],
+        cap: u32,
+        ceil: &[u32],
+    ) -> SmallCounts {
         debug_assert!(radii.windows(2).all(|w| w[0] <= w[1]));
-        let mut counter = MultiCounter::new(radii.len(), cap);
+        let mut counter = MultiCounter::new(radii.len(), cap, ceil);
         if !self.ids.is_empty() && !radii.is_empty() {
             self.multi_rec(0, q, radii, 0, radii.len(), &mut counter);
             self.evals.fetch_add(counter.evals, Ordering::Relaxed);

@@ -4,7 +4,10 @@
 //! including the first one that crosses the sparse-focused cap, `OVER`
 //! afterwards — on random point sets, random (ascending) radius grids,
 //! random caps, and both vector and string data. The kd-tree also runs
-//! at 1, 3, 5 and 20 dimensions, on lattice and duplicate points.
+//! at 1, 3, 5 and 20 dimensions, on lattice and duplicate points. With
+//! crossing ceilings, [`RangeIndex::multi_range_count_within`] must equal
+//! that reference with the crossing cell clamped to its ceiling, for
+//! fewer or as many distance evaluations.
 
 use mccatch_index::{BruteForce, KdTree, RangeIndex, SlimTree, VpTree, OVER};
 use mccatch_metric::{Euclidean, Levenshtein};
@@ -27,6 +30,36 @@ fn per_radius_reference<P, I: RangeIndex<P>>(
         }
     }
     out
+}
+
+/// The reference with its crossing cell (the first count above `cap`)
+/// clamped to that column's ceiling.
+fn clamped(mut counts: Vec<u32>, cap: u32, ceil: &[u32]) -> Vec<u32> {
+    if let Some(k) = counts.iter().position(|&c| c != OVER && c > cap) {
+        counts[k] = counts[k].min(ceil[k]);
+    }
+    counts
+}
+
+/// Checks `multi_range_count_within` against the clamped reference, and
+/// its evaluations against the exact traversal's.
+fn check_within<P, I: RangeIndex<P>>(
+    index: &I,
+    q: &P,
+    radii: &[f64],
+    cap: u32,
+    ceil: &[u32],
+) -> Result<(), TestCaseError> {
+    let e0 = index.distance_stats().evals;
+    let exact = index.multi_range_count(q, radii, cap);
+    let e1 = index.distance_stats().evals;
+    let got = index.multi_range_count_within(q, radii, cap, ceil);
+    let e2 = index.distance_stats().evals;
+    let want = clamped(per_radius_reference(index, q, radii, cap), cap, ceil);
+    prop_assert_eq!(got.as_slice(), want.as_slice());
+    prop_assert!(e2 - e1 <= e1 - e0, "{} > {} evals", e2 - e1, e1 - e0);
+    prop_assert_eq!(&clamped(exact.to_vec(), cap, ceil), &want);
+    Ok(())
 }
 
 fn points_2d() -> impl Strategy<Value = Vec<Vec<f64>>> {
@@ -159,6 +192,49 @@ proptest! {
         let got = vp.multi_range_count(&ws[q], &radii, cap);
         let want = per_radius_reference(&vp, &ws[q], &radii, cap);
         prop_assert_eq!(got.as_slice(), want.as_slice());
+    }
+
+    #[test]
+    fn every_backend_clamps_the_crossing_to_its_ceiling(
+        pts in points_2d(),
+        q in 0usize..120,
+        radii in grid(),
+        cap in 0u32..20,
+        steps in prop::collection::vec(1u32..30, 12),
+        leaf in 2usize..10,
+    ) {
+        let q = q % pts.len();
+        // A ceiling above the cap per column; 29 stands for none.
+        let ceil: Vec<u32> = steps[..radii.len()]
+            .iter()
+            .map(|&d| if d == 29 { OVER } else { cap + d })
+            .collect();
+        let ids: Vec<u32> = (0..pts.len() as u32).collect();
+        let brute = BruteForce::new(pts.clone(), ids.clone(), Euclidean);
+        check_within(&brute, &pts[q], &radii, cap, &ceil)?;
+        let kd = KdTree::build(pts.clone(), ids.clone(), leaf);
+        check_within(&kd, &pts[q], &radii, cap, &ceil)?;
+        let vp = VpTree::build(pts.clone(), ids.clone(), Euclidean, leaf);
+        check_within(&vp, &pts[q], &radii, cap, &ceil)?;
+        let slim = SlimTree::build(pts.clone(), ids, Euclidean, leaf.max(4));
+        check_within(&slim, &pts[q], &radii, cap, &ceil)?;
+    }
+
+    #[test]
+    fn string_backends_clamp_the_crossing_to_its_ceiling(
+        ws in words(),
+        q in 0usize..50,
+        cap in 0u32..10,
+        steps in prop::collection::vec(1u32..8, 6),
+    ) {
+        let q = q % ws.len();
+        let radii = [0.0, 1.0, 2.0, 3.0, 5.0, 8.0];
+        let ceil: Vec<u32> = steps.iter().map(|&d| cap + d).collect();
+        let ids: Vec<u32> = (0..ws.len() as u32).collect();
+        let slim = SlimTree::build(ws.clone(), ids.clone(), Levenshtein, 4);
+        check_within(&slim, &ws[q], &radii, cap, &ceil)?;
+        let vp = VpTree::build(ws.clone(), ids, Levenshtein, 3);
+        check_within(&vp, &ws[q], &radii, cap, &ceil)?;
     }
 
     #[test]

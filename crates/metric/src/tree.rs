@@ -6,7 +6,7 @@
 //! (a silhouette skeleton is an acyclic stick figure), so we model them as
 //! ordered labeled trees and use the classic Zhang–Shasha algorithm — an
 //! exact `O(n² · min-depth²)` dynamic program and a true metric under unit
-//! costs. This substitution is recorded in `DESIGN.md` §4.
+//! costs.
 
 use crate::{universal_code_length, Metric};
 

@@ -41,7 +41,7 @@ use crate::codec::{
 };
 use crate::error::PersistError;
 use crate::point::PersistPoint;
-use mccatch_core::{Fitted, McCatch, Model, ModelStats, Params, RadiusGrid};
+use mccatch_core::{Fitted, McCatch, Model, ModelStats, Params, RadiusGrid, MAX_NUM_RADII};
 use mccatch_index::IndexBuilder;
 use mccatch_metric::Metric;
 use std::io::{Read, Write};
@@ -133,7 +133,7 @@ pub fn save_model<P: PersistPoint, W: Write>(
     let stats = model.stats();
     // An exportable model always has a well-formed grid; a third-party
     // impl reporting otherwise cannot be round-tripped faithfully.
-    if stats.num_radii < 2
+    if !(2..=MAX_NUM_RADII).contains(&stats.num_radii)
         || stats.num_radii != export.params.num_radii
         || stats.diameter.is_nan()
         || stats.diameter < 0.0

@@ -8,11 +8,11 @@
 //! Where the damaged field is known, the test demands the *specific*
 //! error variant, not just "some error".
 
-use mccatch_core::{McCatch, Params};
+use mccatch_core::{McCatch, McCatchError, Params};
 use mccatch_index::VpTreeBuilder;
 use mccatch_metric::Euclidean;
 use mccatch_persist::{
-    load_model, read_info, save_model, PersistError, ReplayReader, FORMAT_VERSION,
+    crc32, load_model, read_info, save_model, PersistError, ReplayReader, FORMAT_VERSION,
 };
 use proptest::prelude::*;
 
@@ -155,6 +155,38 @@ fn huge_declared_point_count_does_not_allocate() {
         matches!(
             err,
             PersistError::Truncated { .. } | PersistError::DimMismatch { .. }
+        ),
+        "{err}"
+    );
+}
+
+/// A checksum-valid snapshot declaring 65 radii (with 65 stored) is
+/// refused by the refit's parameter check, before any grid is built.
+#[test]
+fn num_radii_past_the_grid_shift_is_a_typed_error() {
+    let full = valid_snapshot();
+    let (body, trailer) = full.split_at(full.len() - 4);
+    assert_eq!(crc32(body).to_le_bytes(), trailer);
+    // num_radii is the u32 after magic(4) + version(2) + flags(2) +
+    // point_kind(1) + backend_len(1) + "vp"(2) + dim(4) + num_points,
+    // generation and seq (8 each); the 15 radii follow the stats
+    // witness, which ends with the degenerate byte.
+    let off = 4 + 2 + 2 + 1 + 1 + 2 + 4 + 8 + 8 + 8;
+    assert_eq!(body[off..off + 4], 15u32.to_le_bytes());
+    let radii_end = off + 4 + 8 + 1 + 8 + 4 + 8 + 8 + 8 + 8 + 8 + 1 + 15 * 8;
+    let mut bytes = body[..radii_end].to_vec();
+    bytes[off..off + 4].copy_from_slice(&65u32.to_le_bytes());
+    for k in 0..50 {
+        bytes.extend_from_slice(&(100.0 + k as f64).to_le_bytes());
+    }
+    bytes.extend_from_slice(&body[radii_end..]);
+    let crc = crc32(&bytes);
+    bytes.extend_from_slice(&crc.to_le_bytes());
+    let err = try_load(&bytes).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            PersistError::Fit(McCatchError::InvalidNumRadii { got: 65 })
         ),
         "{err}"
     );

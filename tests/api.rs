@@ -111,6 +111,27 @@ fn invalid_num_radii_is_an_error_value_not_a_panic() {
 }
 
 #[test]
+fn num_radii_is_bounded_by_the_grid_shift() {
+    // 64 radii: the smallest radius, l/2^63, still has a u64 divisor.
+    let fitted = McCatch::builder()
+        .num_radii(64)
+        .build()
+        .expect("64 radii are valid")
+        .fit_ref(&scene(), &Euclidean, &KdTreeBuilder::default())
+        .expect("fit");
+    let radii = fitted.radii();
+    assert_eq!(radii.len(), 64);
+    assert!(radii.windows(2).all(|w| w[0] < w[1]), "{radii:?}");
+    let scores = fitted.detect().point_scores;
+    assert_eq!(scores.len(), scene().len());
+    assert!(scores.iter().all(|s| s.is_finite()));
+    // 65 would shift 1u64 by 64: a typed error, not a wrapped grid.
+    let err = McCatch::builder().num_radii(65).build().unwrap_err();
+    assert_eq!(err, McCatchError::InvalidNumRadii { got: 65 });
+    assert!(err.to_string().contains("2..=64"), "{err}");
+}
+
+#[test]
 fn negative_slope_is_an_error_value_not_a_panic() {
     let err = McCatch::builder()
         .max_plateau_slope(-0.1)
