@@ -8,6 +8,11 @@
 //! runs deterministic (fixed seeds), scales dataset sizes down by default
 //! so everything finishes in minutes on a laptop, and prints plain aligned
 //! text tables that mirror the paper's rows.
+//!
+//! One more binary, `server_loopback`, takes no arguments: it measures
+//! `/score` throughput over loopback HTTP with and without concurrent
+//! refits, and appends the result to `BENCH_server.json` through
+//! [`append_bench_line`].
 
 use mccatch_baselines as bl;
 use mccatch_core::{McCatch, McCatchOutput, Params};
@@ -15,7 +20,6 @@ use mccatch_eval::auroc;
 use mccatch_index::{IndexBuilder, KdTreeBuilder};
 use mccatch_metric::{Euclidean, Metric};
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
 
 /// One-shot MCCATCH through the staged builder API — the harness-wide
 /// replacement for the `mccatch_core::mccatch` free function (deprecated
@@ -86,8 +90,6 @@ pub struct MethodRun {
     pub ap: f64,
     /// Max-F1.
     pub max_f1: f64,
-    /// Wall clock for the best configuration.
-    pub runtime: Duration,
     /// Why the method produced no result (mirrors the paper's markers).
     pub skipped: Option<&'static str>,
 }
@@ -99,7 +101,6 @@ impl MethodRun {
             auroc: f64::NAN,
             ap: f64::NAN,
             max_f1: f64::NAN,
-            runtime: Duration::ZERO,
             skipped: Some(why),
         }
     }
@@ -114,20 +115,17 @@ pub const FIG6_METHODS: &[&str] = &[
 /// Runs MCCATCH (default hyperparameters, kd-tree fast path) on a vector
 /// dataset and wraps the evaluation.
 pub fn run_mccatch(points: &[Vec<f64>], labels: &[bool]) -> (MethodRun, McCatchOutput) {
-    let t0 = Instant::now();
     let out = detect(
         points,
         &Euclidean,
         &KdTreeBuilder::default(),
         &Params::default(),
     );
-    let runtime = t0.elapsed();
     let run = MethodRun {
         method: "MCCATCH",
         auroc: auroc(&out.point_scores, labels),
         ap: mccatch_eval::average_precision(&out.point_scores, labels),
         max_f1: mccatch_eval::max_f1(&out.point_scores, labels),
-        runtime,
         skipped: None,
     };
     (run, out)
@@ -144,7 +142,6 @@ pub fn run_mccatch(points: &[Vec<f64>], labels: &[bool]) -> (MethodRun, McCatchO
 /// DB-Out on large data.
 pub fn run_baseline(method: &'static str, points: &[Vec<f64>], labels: &[bool]) -> MethodRun {
     let n = points.len();
-    let t0 = Instant::now();
     let score_sets: Vec<Vec<f64>> = match method {
         "ABOD" => {
             // Cubic in n and linear in dim: budget the flop count like the
@@ -220,7 +217,6 @@ pub fn run_baseline(method: &'static str, points: &[Vec<f64>], labels: &[bool]) 
             .collect(),
         other => panic!("unknown baseline {other}"),
     };
-    let runtime = t0.elapsed();
     let best = score_sets
         .iter()
         .map(|s| {
@@ -237,7 +233,6 @@ pub fn run_baseline(method: &'static str, points: &[Vec<f64>], labels: &[bool]) 
         auroc: best.0,
         ap: best.1,
         max_f1: best.2,
-        runtime,
         skipped: None,
     }
 }

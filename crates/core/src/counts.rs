@@ -171,9 +171,10 @@ where
 /// count-only join per radius, each re-descending the tree for every
 /// still-active point. Kept as the executable specification of
 /// [`count_neighbors`] (property tests assert bit-identical
-/// [`CountTable`]s) and as the baseline the `bench_stages` benchmark
-/// measures the single-traversal path against. Its crossing counts are
-/// exact. Prefer [`count_neighbors_within`] everywhere else.
+/// [`CountTable`]s) and as the baseline perfbench's `--trace 1` sweep
+/// times the single-traversal path against
+/// (`core.{ds}.count_per_radius_ms`). Its crossing counts are exact.
+/// Prefer [`count_neighbors_within`] everywhere else.
 pub fn count_neighbors_per_radius<P, I>(
     index: &I,
     points: &[P],

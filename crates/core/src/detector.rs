@@ -28,7 +28,7 @@
 //!
 //! Everything downstream of `fit` is deterministic and cached, so calling
 //! [`Fitted::detect`] twice is both cheap (the joins run once) and
-//! bit-identical to two independent legacy `mccatch()` runs.
+//! bit-identical to two independent fit-and-detect runs.
 //!
 //! ```
 //! use mccatch_core::McCatch;
@@ -787,8 +787,9 @@ mod tests {
             McCatch::builder().max_plateau_slope(-2.0).build(),
             Err(McCatchError::InvalidSlope { .. })
         ));
-        // Explicit c = 0 is clamped at resolution (seed-compatible), not
-        // rejected: the legacy shims accepted it and must keep doing so.
+        // Explicit c = 0 is clamped to 1 at resolution, not rejected: the
+        // smallest microcluster is one point, and configurations that set
+        // 0 have run since the first release.
         assert!(McCatch::builder().max_mc_cardinality(0).build().is_ok());
     }
 

@@ -4,8 +4,8 @@
 //! errors: a service that accepts detection requests must be able to
 //! reject a bad configuration as a value. Every public constructor
 //! (`McCatch::new`, `McCatch::builder().build()`, `Params::try_resolve`)
-//! returns `Result<_, McCatchError>`; only the deprecated legacy entry
-//! points still panic, and they do so by unwrapping these errors.
+//! returns `Result<_, McCatchError>`, and none of them panics on a bad
+//! configuration.
 
 use crate::params::MAX_NUM_RADII;
 use std::fmt;

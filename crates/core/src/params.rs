@@ -80,16 +80,6 @@ impl Params {
             threads,
         })
     }
-
-    /// Validates and resolves derived values for a dataset of `n` elements.
-    ///
-    /// # Panics
-    /// Panics if the parameters are invalid; prefer [`Params::try_resolve`],
-    /// which returns the failure as a [`McCatchError`].
-    #[deprecated(since = "0.2.0", note = "use `Params::try_resolve` instead")]
-    pub fn resolve(&self, n: usize) -> Resolved {
-        self.try_resolve(n).unwrap_or_else(|e| panic!("{e}"))
-    }
 }
 
 /// Parameters with data-dependent defaults resolved.
@@ -241,17 +231,6 @@ mod tests {
             ..Params::default()
         };
         assert_eq!(p.try_resolve(10).unwrap().c, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "num_radii")]
-    fn legacy_resolve_still_panics() {
-        let p = Params {
-            num_radii: 1,
-            ..Params::default()
-        };
-        #[allow(deprecated)]
-        let _ = p.resolve(10);
     }
 
     #[test]

@@ -37,9 +37,10 @@ fn replace_via_tmp(path: &Path, fill: impl FnOnce(&mut File) -> io::Result<()>) 
     sync_parent_dir(path)
 }
 
-/// Fsyncs the directory holding `path`, making a rename into it durable.
+/// Fsyncs the directory holding `path`, making a rename or a file
+/// creation in it durable.
 #[cfg(unix)]
-fn sync_parent_dir(path: &Path) -> io::Result<()> {
+pub(crate) fn sync_parent_dir(path: &Path) -> io::Result<()> {
     let dir = match path.parent() {
         Some(d) if !d.as_os_str().is_empty() => d,
         _ => Path::new("."),
@@ -50,7 +51,7 @@ fn sync_parent_dir(path: &Path) -> io::Result<()> {
 /// Directories cannot be opened for syncing off Unix; the rename is
 /// still atomic there.
 #[cfg(not(unix))]
-fn sync_parent_dir(_path: &Path) -> io::Result<()> {
+pub(crate) fn sync_parent_dir(_path: &Path) -> io::Result<()> {
     Ok(())
 }
 

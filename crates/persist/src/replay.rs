@@ -22,7 +22,7 @@ use crate::error::PersistError;
 use crate::point::PersistPoint;
 use mccatch_obs::json::{self, Json};
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write};
 use std::path::Path;
 
 /// How eagerly the replay log is flushed to stable storage.
@@ -49,13 +49,19 @@ pub struct ReplayWriter {
 }
 
 impl ReplayWriter {
-    /// Opens (creating if absent) the log at `path` for appending.
+    /// Opens (creating if absent) the log at `path` for appending. A log
+    /// this call creates has its parent directory fsynced, so the new
+    /// directory entry survives power loss, not only `kill -9`.
     pub fn open(path: impl AsRef<Path>, policy: FsyncPolicy) -> Result<Self, PersistError> {
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .map_err(PersistError::Io)?;
+        let path = path.as_ref();
+        let file = match OpenOptions::new().create_new(true).append(true).open(path) {
+            Ok(file) => crate::atomic::sync_parent_dir(path).map(|()| file),
+            Err(e) if e.kind() == ErrorKind::AlreadyExists => {
+                OpenOptions::new().append(true).open(path)
+            }
+            Err(e) => Err(e),
+        }
+        .map_err(PersistError::Io)?;
         Ok(Self {
             file: BufWriter::new(file),
             policy,
