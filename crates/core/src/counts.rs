@@ -27,13 +27,16 @@
 //! runs **one single-traversal join** over all `a - 1` joined radii:
 //! every point descends the tree once and fills all of its columns
 //! simultaneously (`RangeIndex::multi_range_count_within`), instead of
-//! re-descending once per radius. The historical per-radius formulation is kept as
-//! [`count_neighbors_per_radius`] — it is the executable specification the
-//! single-traversal path is tested (and benchmarked) against, and it
-//! produces a [`CountTable`] bit-identical to the one of
-//! [`count_neighbors`].
+//! re-descending once per radius. The join is the index's
+//! `RangeIndex::self_join_into`: one descent per point by default, and
+//! on the kd-tree one descent per leaf, whose points descend together
+//! and share each node's box bound. The historical per-radius
+//! formulation is kept as [`count_neighbors_per_radius`] — it is the
+//! executable specification the single-traversal path is tested (and
+//! benchmarked) against, and it produces a [`CountTable`] bit-identical
+//! to the one of [`count_neighbors`].
 
-use mccatch_index::{batch_multi_range_count_into, batch_range_count, RangeIndex};
+use mccatch_index::{batch_range_count, RangeIndex};
 
 pub use mccatch_index::OVER;
 
@@ -98,10 +101,11 @@ where
 /// distance evaluations.
 ///
 /// This is the **single-traversal** path (the hot loop of the whole
-/// system): the active set is partitioned across threads once, and each
-/// point fills all of its `a - 1` joined columns in one tree descent via
-/// `RangeIndex::multi_range_count_within` — subtrees wholly inside a
-/// suffix of the grid are bulk-added through their stored cardinality,
+/// system): `RangeIndex::self_join_into` partitions the points across
+/// threads once, and each point fills all of its `a - 1` joined columns
+/// in one tree descent (alone, or with its kd leaf as one block), as
+/// `RangeIndex::multi_range_count_within` would — subtrees wholly inside
+/// a suffix of the grid are bulk-added through their stored cardinality,
 /// subtrees out of reach of every radius are skipped, columns that can
 /// only end [`OVER`] stop being refined as soon as a running count
 /// crosses `c`, and the crossing column stops once it reaches its
@@ -123,21 +127,10 @@ where
     debug_assert!(a >= 2);
     let m = a - 1; // joined radii; r_a is filled directly
     let cap = c as u32;
-    let queries: Vec<u32> = (0..n as u32).collect();
     // The join writes each point's m joined columns straight into its
-    // a-wide row of the final table — no intermediate n × m buffer.
+    // a-wide row of the final table.
     let mut counts = vec![OVER; n * a];
-    batch_multi_range_count_into(
-        index,
-        points,
-        &queries,
-        &radii[..m],
-        cap,
-        ceil,
-        threads,
-        &mut counts,
-        a,
-    );
+    index.self_join_into(points, &radii[..m], cap, ceil, threads, &mut counts, a);
 
     let mut active_per_radius = vec![0usize; m];
     for row in counts.chunks_mut(a) {

@@ -5,7 +5,11 @@
 //! neighboring points* (Alg. 2). These helpers run such joins through any
 //! [`RangeIndex`], optionally in parallel: queries are independent, so each
 //! worker thread fills a disjoint slice of the output and the result is
-//! bit-identical regardless of thread count.
+//! bit-identical regardless of thread count. The fit's own self-join is
+//! [`RangeIndex::self_join_into`], whose default is
+//! [`batch_multi_range_count_into`] over every point; the kd-tree
+//! replaces it with a blocked join in which each leaf's points descend
+//! the tree together.
 
 use crate::{RangeIndex, OVER};
 
@@ -120,7 +124,7 @@ pub fn batch_multi_range_count_into<P, I>(
     stride: usize,
 ) where
     P: Sync,
-    I: RangeIndex<P>,
+    I: RangeIndex<P> + ?Sized,
 {
     let m = radii.len();
     assert!(stride >= m, "stride {stride} narrower than {m} radii");

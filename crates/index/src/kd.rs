@@ -4,14 +4,22 @@
 //! [`RangeIndex`], but several times faster on dense low-dimensional
 //! vectors because it partitions coordinates instead of computing metric
 //! distances during construction.
+//!
+//! Its multi-radius counts run one traversal for a *query block*: the
+//! points of one leaf in the fit's self-join
+//! ([`RangeIndex::self_join_into`]), or a single query point
+//! ([`RangeIndex::multi_range_count_within`]). A node's box is bounded
+//! against the block's box once per visit, and each reference leaf
+//! computes every (query, point) squared distance the block needs.
 
+use crate::join::batch_multi_range_count_into;
 use crate::multi::MultiCounter;
 use crate::{DistanceStats, IndexBuilder, Neighbor, OrdF64, RangeIndex, SmallCounts};
 use mccatch_metric::Euclidean;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Builder for [`KdTree`]. Only valid with the [`Euclidean`] metric: the
 /// bounding-box pruning arithmetic assumes `L_2`.
@@ -73,8 +81,9 @@ pub struct KdTree<P> {
     /// leaf over `ids[start..end]` keeps coordinate `d` of point
     /// `ids[start + j]` at `blocks[start * dim + d * (end - start) + j]`,
     /// so the blocks tile the array in `ids` order (`n * dim` values).
-    /// The multi-radius leaf scan reads only these; the per-radius
-    /// queries and `knn` read `points` through [`Self::dist2`].
+    /// The multi-radius traversal reads only these, for a query block's
+    /// coordinates as well as a reference leaf's; the per-radius queries
+    /// and `knn` read `points` through [`Self::dist2`].
     blocks: Vec<f64>,
     dim: usize,
     /// Point-distance evaluations performed by queries (construction
@@ -193,20 +202,6 @@ impl<P: AsRef<[f64]>> KdTree<P> {
         s
     }
 
-    /// [`Self::min_dist2`] and [`Self::max_dist2`] in one pass over the
-    /// box, each summed in the same order, so both are bit-identical.
-    fn bounds2(&self, q: &[f64], bbox: &[f64]) -> (f64, f64) {
-        let (mut near, mut far) = (0.0, 0.0);
-        for d in 0..self.dim {
-            let (lo, hi) = (bbox[2 * d], bbox[2 * d + 1]);
-            let v = near_gap(q[d], lo, hi);
-            near += v * v;
-            let w = far_gap(q[d], lo, hi);
-            far += w * w;
-        }
-        (near, far)
-    }
-
     #[inline]
     fn dist2(&self, q: &[f64], id: u32) -> f64 {
         let c = self.points[id as usize].as_ref();
@@ -243,32 +238,30 @@ impl<P: AsRef<[f64]>> KdTree<P> {
         }
     }
 
-    /// Single-traversal multi-radius count over the window `[lo, hi)` of
-    /// squared radii `r2` (ascending). The window narrows as the descent
-    /// proves columns resolved: columns whose radius cannot reach this
-    /// bounding box contribute nothing (advance `lo`), columns whose
-    /// radius covers the whole box take the subtree cardinality in one
-    /// bulk-add (shrink `hi`), and columns at or past the counter's
-    /// watermark are decided, OVER or a settled crossing (clamp `hi`). The
-    /// pruning predicates are the same as [`Self::count_rec`]'s, over the
-    /// same box bounds, so the counts match the per-radius path bit for
-    /// bit.
-    /// `(min2, max2)` are this node's squared bounding-box bounds
-    /// ([`Self::bounds2`]), computed by the parent (`min2` orders the
-    /// children) and passed down so each box is evaluated exactly once.
-    #[allow(clippy::too_many_arguments)] // recursion state, not an API
-    fn multi_rec(
+    /// The multi-radius descent of one query block over the window
+    /// `[lo, hi)` of squared radii `r2` (ascending). The window narrows as
+    /// the descent proves columns resolved for the whole block: columns
+    /// whose radius cannot reach this box from the block's box contribute
+    /// nothing (advance `lo`), columns whose radius covers every pair take
+    /// the subtree cardinality in one bulk-add (shrink `hi`), and columns
+    /// at or past every counter's watermark are decided, OVER or a settled
+    /// crossing (clamp `hi`). `(near, far)` are this node's box-to-box
+    /// bounds ([`box_bounds2`]), computed by the parent (`near` orders the
+    /// children) and passed down so each box is bounded once per visit.
+    /// They never contradict a pair's own squared distance, so the counts
+    /// match the per-radius path bit for bit; for a block of one point
+    /// they are [`Self::count_rec`]'s bounds exactly.
+    fn join_rec(
         &self,
         node: u32,
-        q: &[f64],
+        block: &mut QueryBlock,
         r2: &[f64],
         mut lo: usize,
         mut hi: usize,
-        (min2, max2): (f64, f64),
-        counter: &mut MultiCounter,
+        (near, far): (f64, f64),
     ) {
-        hi = hi.min(counter.hi_cap());
-        while lo < hi && min2 > r2[lo] {
+        hi = hi.min(block.hi_cap);
+        while lo < hi && near > r2[lo] {
             lo += 1;
         }
         if lo >= hi {
@@ -276,55 +269,85 @@ impl<P: AsRef<[f64]>> KdTree<P> {
         }
         let n = &self.nodes[node as usize];
         let mut nh = hi;
-        while nh > lo && max2 <= r2[nh - 1] {
+        while nh > lo && far <= r2[nh - 1] {
             nh -= 1;
         }
         if nh < hi {
-            counter.add_subtree(nh, hi, n.count);
-            counter.bump();
-            hi = nh.min(counter.hi_cap());
+            block.add_subtree(nh, hi, n.count);
+            hi = nh.min(block.hi_cap);
             if lo >= hi {
                 return;
             }
         }
         match n.kind {
             KdKind::Leaf { start, end } => {
-                // Each point's squared distance once per visit, into the
-                // counter's scratch, then bucketed into every window
-                // column. Dimension-outer over the leaf's block, so the
-                // inner loop runs across points and vectorizes, while each
-                // point still sums its coordinates in order: the distances
-                // are bit-identical to `dist2`.
                 let (start, end) = (start as usize, end as usize);
-                let len = end - start;
-                let block = &self.blocks[start * self.dim..end * self.dim];
-                let dist = counter.scratch_mut();
-                dist.resize(len, 0.0);
-                for (column, &x) in block.chunks_exact(len).zip(q) {
-                    for (s, &c) in dist.iter_mut().zip(column) {
-                        let t = x - c;
-                        *s += t * t;
-                    }
-                }
-                counter.evals += len as u64;
-                counter.add_leaf(&r2[lo..hi], lo, hi);
+                let points = &self.blocks[start * self.dim..end * self.dim];
+                block.add_leaf(points, end - start, r2, lo, hi);
             }
             KdKind::Split { left, right } => {
-                // Nearest child first: the query's dense neighborhood is
+                // Nearest child first: the block's dense neighborhood is
                 // what pushes the running counts past the cap, so visiting
                 // it early collapses the window to the small radii before
                 // the expensive far subtrees are reached.
-                let bl = self.bounds2(q, self.bbox(left));
-                let br = self.bounds2(q, self.bbox(right));
+                let bl = box_bounds2(block.bbox, self.bbox(left));
+                let br = box_bounds2(block.bbox, self.bbox(right));
                 let ((near, near_b), (far, far_b)) = if bl.0 <= br.0 {
                     ((left, bl), (right, br))
                 } else {
                     ((right, br), (left, bl))
                 };
-                self.multi_rec(near, q, r2, lo, hi, near_b, counter);
-                self.multi_rec(far, q, r2, lo, hi, far_b, counter);
+                self.join_rec(near, block, r2, lo, hi, near_b);
+                self.join_rec(far, block, r2, lo, hi, far_b);
             }
         }
+    }
+
+    /// Runs `block` down the whole tree.
+    fn descend(&self, block: &mut QueryBlock, r2: &[f64]) {
+        let root = box_bounds2(block.bbox, self.bbox(0));
+        self.join_rec(0, block, r2, 0, r2.len(), root);
+    }
+
+    /// The blocked self-join's unit of work: the points of the leaf
+    /// `node` descend together, and their finished rows land in `rows`
+    /// (`m` per point, in `ids` order). Returns the block's distance
+    /// evaluations.
+    fn join_leaf(&self, node: u32, r2: &[f64], cap: u32, ceil: &[u32], rows: &mut [u32]) -> u64 {
+        let KdKind::Leaf { start, end } = self.nodes[node as usize].kind else {
+            unreachable!("query blocks are leaves");
+        };
+        let (start, end) = (start as usize, end as usize);
+        let m = r2.len();
+        let mut block = QueryBlock {
+            bbox: self.bbox(node),
+            coords: &self.blocks[start * self.dim..end * self.dim],
+            stride: end - start,
+            counters: (start..end)
+                .map(|_| MultiCounter::new(m, cap, ceil))
+                .collect(),
+            hi_cap: m,
+        };
+        self.descend(&mut block, r2);
+        let mut evals = 0;
+        for (row, counter) in rows.chunks_exact_mut(m).zip(&block.counters) {
+            row.copy_from_slice(&counter.finish());
+            evals += counter.evals;
+        }
+        evals
+    }
+
+    /// Whether `points` is the tree's own dataset and every point of it is
+    /// indexed: the blocked self-join's premise, since its query blocks
+    /// are the tree's leaves.
+    fn indexes_all_of(&self, points: &[P]) -> bool {
+        if self.ids.len() != points.len() || !std::ptr::eq(&*self.points, points) {
+            return false;
+        }
+        let mut seen = vec![false; points.len()];
+        self.ids
+            .iter()
+            .all(|&id| !std::mem::replace(&mut seen[id as usize], true))
     }
 
     fn ids_rec(&self, node: u32, q: &[f64], r2: f64, out: &mut Vec<u32>, evals: &mut u64) {
@@ -385,6 +408,115 @@ fn far_gap(x: f64, lo: f64, hi: f64) -> f64 {
     (x - lo).abs().max((x - hi).abs())
 }
 
+/// The squared bound a query compares squared distances against:
+/// `radius²`, or `-∞` for a negative radius, which no distance meets.
+/// `-0.0` squares to `0.0`, so it still counts exact duplicates.
+#[inline]
+fn squared(radius: f64) -> f64 {
+    if radius < 0.0 {
+        f64::NEG_INFINITY
+    } else {
+        radius * radius
+    }
+}
+
+/// Squared near and far bounds between the boxes `a` and `b` (both
+/// interleaved `[min0, max0, min1, max1, ...]`), summed in dimension
+/// order: no computed squared distance between a point of `a` and a point
+/// of `b` is below `near` or above `far`. IEEE subtraction rounds
+/// monotonically, so per dimension the near gap never exceeds
+/// `|fl(q_d − p_d)|` and the far gap never falls below it, and squaring
+/// and summing in the same order keep both orders. When `a` is one point
+/// `[q, q]`, the gaps are [`near_gap`] and [`far_gap`] bit for bit.
+#[inline]
+fn box_bounds2(a: &[f64], b: &[f64]) -> (f64, f64) {
+    let (mut near, mut far) = (0.0, 0.0);
+    for (a, b) in a.chunks_exact(2).zip(b.chunks_exact(2)) {
+        let (alo, ahi, blo, bhi) = (a[0], a[1], b[0], b[1]);
+        let v = if bhi < alo {
+            alo - bhi
+        } else if blo > ahi {
+            blo - ahi
+        } else {
+            0.0
+        };
+        near += v * v;
+        let w = (ahi - blo).abs().max((bhi - alo).abs());
+        far += w * w;
+    }
+    (near, far)
+}
+
+/// Queries that descend the kd-tree together: the points of one leaf in
+/// the blocked self-join, or one query point. They share one box, so a
+/// node's box is bounded once per block, while each query keeps its own
+/// counter and watermark.
+struct QueryBlock<'b, 'c> {
+    /// The block's bounding box, interleaved like [`KdTree`]'s boxes.
+    bbox: &'b [f64],
+    /// Dimension-major query coordinates: coordinate `d` of query `i` is
+    /// `coords[d * stride + i]`.
+    coords: &'b [f64],
+    stride: usize,
+    /// One counter per query.
+    counters: Vec<MultiCounter<'c>>,
+    /// The largest `hi_cap()` among `counters`: the block's window.
+    hi_cap: usize,
+}
+
+impl QueryBlock<'_, '_> {
+    /// Re-derives [`Self::hi_cap`] after the counters' watermarks moved.
+    fn refresh(&mut self) {
+        self.hi_cap = self
+            .counters
+            .iter()
+            .map(MultiCounter::hi_cap)
+            .max()
+            .unwrap_or(0);
+    }
+
+    /// Bulk-adds a subtree of `count` points that every pair covers at
+    /// columns `[lo, hi)`, each counter clamped to its own watermark.
+    fn add_subtree(&mut self, lo: usize, hi: usize, count: u32) {
+        for counter in &mut self.counters {
+            let chi = hi.min(counter.hi_cap());
+            if lo < chi {
+                counter.add_subtree(lo, chi, count);
+                counter.bump();
+            }
+        }
+        self.refresh();
+    }
+
+    /// One reference leaf's tile: for every query whose own window
+    /// `[lo, min(hi, hi_cap))` is not empty, the squared distances to the
+    /// leaf's `len` points (`points`, dimension-major), bucketed into that
+    /// window. Dimension-outer, so the inner loop runs across points and
+    /// vectorizes, while each pair still sums its coordinates in order:
+    /// every entry is bit-identical to `dist2`. A query is charged one
+    /// evaluation per pair it computes.
+    fn add_leaf(&mut self, points: &[f64], len: usize, r2: &[f64], lo: usize, hi: usize) {
+        for (i, counter) in self.counters.iter_mut().enumerate() {
+            let chi = hi.min(counter.hi_cap());
+            if lo >= chi {
+                continue;
+            }
+            let dist = counter.scratch_mut();
+            dist.resize(len, 0.0);
+            for (d, column) in points.chunks_exact(len).enumerate() {
+                let x = self.coords[d * self.stride + i];
+                for (s, &c) in dist.iter_mut().zip(column) {
+                    let t = x - c;
+                    *s += t * t;
+                }
+            }
+            counter.evals += len as u64;
+            counter.add_leaf(&r2[lo..chi], lo, chi);
+        }
+        self.refresh();
+    }
+}
+
 impl<P: AsRef<[f64]> + Send + Sync> RangeIndex<P> for KdTree<P> {
     fn len(&self) -> usize {
         self.ids.len()
@@ -395,12 +527,13 @@ impl<P: AsRef<[f64]> + Send + Sync> RangeIndex<P> for KdTree<P> {
             return 0;
         }
         let mut evals = 0;
-        let count = self.count_rec(0, q.as_ref(), radius * radius, &mut evals);
+        let count = self.count_rec(0, q.as_ref(), squared(radius), &mut evals);
         self.evals.fetch_add(evals, Ordering::Relaxed);
         count
     }
 
-    /// One descent fills every radius column (see the private `multi_rec`).
+    /// One descent fills every radius column: the blocked self-join's
+    /// traversal over a block of one point (see the private `join_rec`).
     fn multi_range_count_within(
         &self,
         q: &P,
@@ -409,15 +542,105 @@ impl<P: AsRef<[f64]> + Send + Sync> RangeIndex<P> for KdTree<P> {
         ceil: &[u32],
     ) -> SmallCounts {
         debug_assert!(radii.windows(2).all(|w| w[0] <= w[1]));
-        let mut counter = MultiCounter::new(radii.len(), cap, ceil);
-        if !self.ids.is_empty() && !radii.is_empty() {
-            let q = q.as_ref();
-            let r2: Vec<f64> = radii.iter().map(|&r| r * r).collect();
-            let root = self.bounds2(q, self.bbox(0));
-            self.multi_rec(0, q, &r2, 0, radii.len(), root, &mut counter);
-            self.evals.fetch_add(counter.evals, Ordering::Relaxed);
+        let counter = MultiCounter::new(radii.len(), cap, ceil);
+        if self.ids.is_empty() || radii.is_empty() {
+            return counter.finish();
         }
+        let q = &q.as_ref()[..self.dim];
+        let bbox: Vec<f64> = q.iter().flat_map(|&x| [x, x]).collect();
+        let r2: Vec<f64> = radii.iter().map(|&r| squared(r)).collect();
+        let mut block = QueryBlock {
+            bbox: &bbox,
+            coords: q,
+            stride: 1,
+            counters: vec![counter],
+            hi_cap: radii.len(),
+        };
+        self.descend(&mut block, &r2);
+        let counter = &block.counters[0];
+        self.evals.fetch_add(counter.evals, Ordering::Relaxed);
         counter.finish()
+    }
+
+    /// The blocked self-join: the points of each leaf descend the tree
+    /// together as one query block, so each node's box is bounded once
+    /// per leaf instead of once per point, and a reference leaf computes
+    /// the block's distances as one tile. Workers take whole leaves in
+    /// leaf order and fill a leaf-ordered row buffer, which one pass then
+    /// copies to the rows of `out`, so the table and the evaluations are
+    /// the same for every thread count. Falls back to the per-query
+    /// default unless the tree indexes all of `points`, the very slice
+    /// it was built over.
+    fn self_join_into(
+        &self,
+        points: &[P],
+        radii: &[f64],
+        cap: u32,
+        ceil: &[u32],
+        threads: usize,
+        out: &mut [u32],
+        stride: usize,
+    ) where
+        P: Sync,
+    {
+        if !self.indexes_all_of(points) {
+            let queries: Vec<u32> = (0..points.len() as u32).collect();
+            return batch_multi_range_count_into(
+                self, points, &queries, radii, cap, ceil, threads, out, stride,
+            );
+        }
+        let (n, m) = (points.len(), radii.len());
+        assert!(stride >= m, "stride {stride} narrower than {m} radii");
+        assert_eq!(out.len(), n * stride, "output size mismatch");
+        if n == 0 || m == 0 {
+            return;
+        }
+        debug_assert!(radii.windows(2).all(|w| w[0] <= w[1]));
+        let r2: Vec<f64> = radii.iter().map(|&r| squared(r)).collect();
+        // Leaves in node order tile `ids` in order: split the row buffer
+        // into one run of rows per leaf.
+        let mut rows = vec![0u32; n * m];
+        let mut jobs = Vec::new();
+        let mut rest = rows.as_mut_slice();
+        for (node, kd_node) in self.nodes.iter().enumerate() {
+            if let KdKind::Leaf { start, end } = kd_node.kind {
+                let (head, tail) = rest.split_at_mut((end - start) as usize * m);
+                jobs.push((node as u32, head));
+                rest = tail;
+            }
+        }
+        let threads = threads.clamp(1, jobs.len());
+        let evals = if threads == 1 || n < 256 {
+            jobs.into_iter()
+                .map(|(node, rows)| self.join_leaf(node, &r2, cap, ceil, rows))
+                .sum()
+        } else {
+            let jobs = Mutex::new(jobs.into_iter());
+            std::thread::scope(|scope| {
+                let workers: Vec<_> = (0..threads)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            let mut evals = 0;
+                            loop {
+                                let job = jobs.lock().expect("no worker panicked").next();
+                                let Some((node, rows)) = job else {
+                                    return evals;
+                                };
+                                evals += self.join_leaf(node, &r2, cap, ceil, rows);
+                            }
+                        })
+                    })
+                    .collect();
+                workers
+                    .into_iter()
+                    .map(|w| w.join().expect("join worker panicked"))
+                    .sum::<u64>()
+            })
+        };
+        self.evals.fetch_add(evals, Ordering::Relaxed);
+        for (row, &id) in rows.chunks_exact(m).zip(&self.ids) {
+            out[id as usize * stride..][..m].copy_from_slice(row);
+        }
     }
 
     fn range_ids(&self, q: &P, radius: f64, out: &mut Vec<u32>) {
@@ -426,7 +649,7 @@ impl<P: AsRef<[f64]> + Send + Sync> RangeIndex<P> for KdTree<P> {
         }
         let start = out.len();
         let mut evals = 0;
-        self.ids_rec(0, q.as_ref(), radius * radius, out, &mut evals);
+        self.ids_rec(0, q.as_ref(), squared(radius), out, &mut evals);
         self.evals.fetch_add(evals, Ordering::Relaxed);
         out[start..].sort_unstable();
     }
@@ -611,5 +834,74 @@ mod tests {
         // Neighbor at diagonal step 1 is at distance sqrt(20).
         let r = (20.0f64).sqrt() + 1e-9;
         assert_eq!(t.range_count(&pts[10], r), 3);
+    }
+
+    /// Per dimension the interval `[lo, lo + 30·w²]`, interleaved, with
+    /// its ends rounded onto the integer lattice when `lattice`, so that
+    /// gaps tie.
+    fn interval_box(lo: &[f64], w: &[f64], lattice: bool) -> Vec<f64> {
+        let snap = |x: f64| if lattice { x.round() } else { x };
+        lo.iter()
+            .zip(w)
+            .flat_map(|(&l, &w)| [snap(l), snap(l + 30.0 * w * w)])
+            .collect()
+    }
+
+    /// The point at fraction `at` across `bbox` in each dimension.
+    fn inside(bbox: &[f64], at: &[f64], lattice: bool) -> Vec<f64> {
+        let snap = |x: f64| if lattice { x.round() } else { x };
+        bbox.chunks_exact(2)
+            .zip(at)
+            .map(|(b, &t)| snap(b[0] + t * (b[1] - b[0])).clamp(b[0], b[1]))
+            .collect()
+    }
+
+    fn coords() -> impl proptest::strategy::Strategy<Value = Vec<f64>> {
+        proptest::collection::vec(-50.0..50.0f64, 4)
+    }
+
+    fn fractions() -> impl proptest::strategy::Strategy<Value = Vec<f64>> {
+        proptest::collection::vec(0.0..1.0f64, 4)
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn box_bounds_of_one_point_are_its_point_bounds(
+            q in coords(),
+            lo in coords(),
+            width in fractions(),
+            lattice in 0u8..2,
+        ) {
+            let bbox = interval_box(&lo, &width, lattice == 1);
+            let point: Vec<f64> = q.iter().flat_map(|&x| [x, x]).collect();
+            let (near, far) = box_bounds2(&point, &bbox);
+            let (mut want_near, mut want_far) = (0.0f64, 0.0f64);
+            for (d, b) in bbox.chunks_exact(2).enumerate() {
+                let v = near_gap(q[d], b[0], b[1]);
+                want_near += v * v;
+                let w = far_gap(q[d], b[0], b[1]);
+                want_far += w * w;
+            }
+            proptest::prop_assert_eq!(near.to_bits(), want_near.to_bits());
+            proptest::prop_assert_eq!(far.to_bits(), want_far.to_bits());
+        }
+
+        #[test]
+        fn box_bounds_never_contradict_a_pair(
+            (alo, blo) in (coords(), coords()),
+            (aw, bw) in (fractions(), fractions()),
+            (at, bt) in (fractions(), fractions()),
+            lattice in 0u8..2,
+        ) {
+            let a = interval_box(&alo, &aw, lattice == 1);
+            let b = interval_box(&blo, &bw, lattice == 1);
+            let (q, p) = (inside(&a, &at, lattice == 1), inside(&b, &bt, lattice == 1));
+            let (near, far) = box_bounds2(&a, &b);
+            let d2 = q.iter().zip(&p).fold(0.0, |s, (x, y)| {
+                let t = x - y;
+                s + t * t
+            });
+            proptest::prop_assert!(near <= d2 && d2 <= far, "{} <= {} <= {}", near, d2, far);
+        }
     }
 }

@@ -21,7 +21,9 @@
 //!   variant drives MCCATCH's counting stage: one tree descent per query
 //!   fills the counts for every grid radius at once
 //!   ([`RangeIndex::multi_range_count_within`], native in all four
-//!   backends).
+//!   backends), and the fit runs it over every point through
+//!   [`RangeIndex::self_join_into`], where the kd-tree lets each leaf's
+//!   points descend together.
 //!
 //! All indexes implement [`RangeIndex`]; algorithms are generic over
 //! [`IndexBuilder`] so the same pipeline runs on metric or vector data.
@@ -155,7 +157,11 @@ pub struct DistanceStats {
     /// window, so it costs the leaf's size, not that times the radii. For
     /// the kd-tree this counts point-distance evaluations only;
     /// bounding-box arithmetic is coordinate work, not a metric
-    /// evaluation.
+    /// evaluation. In the kd-tree's blocked self-join, a reference leaf
+    /// reached by a query block costs one evaluation per (query, point)
+    /// pair it computes, for each query whose own window there is not
+    /// empty, so a block can charge pairs that query's lone descent would
+    /// have pruned.
     pub evals: u64,
 }
 
@@ -262,6 +268,41 @@ pub trait RangeIndex<P>: Sync {
             out.as_mut_slice()[k] = c;
         }
         out
+    }
+
+    /// The fit's count-only self-join (Alg. 2): for every `i` in
+    /// `0..points.len()`, writes
+    /// [`multi_range_count_within`](Self::multi_range_count_within)`(&points[i],
+    /// radii, cap, ceil)` into `out[i * stride..][..radii.len()]`, on up to
+    /// `threads` workers (cells past `radii.len()` are left untouched). The
+    /// table and the distance evaluations are the same for every thread
+    /// count.
+    ///
+    /// The provided default is [`batch_multi_range_count_into`] over the
+    /// ids `0..points.len()`: one descent per query. [`KdTree`] overrides
+    /// it with a blocked join, in which the points of each leaf descend
+    /// the tree together, when it indexes all of `points`.
+    ///
+    /// # Panics
+    /// Panics if `stride < radii.len()` or
+    /// `out.len() != points.len() * stride`.
+    #[allow(clippy::too_many_arguments)] // batch_multi_range_count_into's, minus the ids
+    fn self_join_into(
+        &self,
+        points: &[P],
+        radii: &[f64],
+        cap: u32,
+        ceil: &[u32],
+        threads: usize,
+        out: &mut [u32],
+        stride: usize,
+    ) where
+        P: Sync,
+    {
+        let queries: Vec<u32> = (0..points.len() as u32).collect();
+        batch_multi_range_count_into(
+            self, points, &queries, radii, cap, ceil, threads, out, stride,
+        );
     }
 
     /// Running totals of the distance evaluations this index has performed

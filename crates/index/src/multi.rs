@@ -62,6 +62,11 @@ pub(crate) struct MultiCounter<'c> {
     /// instead of a branchy per-point search (leaves never recurse, so one
     /// buffer per query suffices).
     scratch: Vec<f64>,
+    /// The Slim-tree's entry order stack, `(ball gap, distance, entry)`:
+    /// an internal-node visit pushes its entries at the end, sorts its own
+    /// slice, walks it by index, and truncates back on exit, so nested
+    /// visits stack up without an allocation or array per visit.
+    pub order: Vec<(f64, f64, u32)>,
 }
 
 impl<'c> MultiCounter<'c> {
@@ -80,6 +85,7 @@ impl<'c> MultiCounter<'c> {
             next_bump_at: cap as i64 + 1,
             evals: 0,
             scratch: Vec::new(),
+            order: Vec::new(),
         }
     }
 

@@ -526,19 +526,10 @@ impl<P, M: Metric<P>> SlimTree<P, M> {
                 // nearest-ball-first: the query's dense neighborhood is
                 // what pushes the running counts past the cap, so visiting
                 // it early collapses the window to the small radii before
-                // the expensive far subtrees are descended. The order
-                // buffer lives on the stack for ordinary node capacities —
-                // this runs once per internal node per query.
-                const ORDER_INLINE: usize = 64;
-                let mut inline = [(0f64, 0f64, 0u32); ORDER_INLINE];
-                let mut spill: Vec<(f64, f64, u32)>;
-                let slots: &mut [(f64, f64, u32)] = if entries.len() <= ORDER_INLINE {
-                    &mut inline
-                } else {
-                    spill = vec![(0.0, 0.0, 0); entries.len()];
-                    &mut spill
-                };
-                let mut filled = 0;
+                // the expensive far subtrees are descended. The entries
+                // go on the counter's order stack, above those of the
+                // visits this one is nested in.
+                let base = counter.order.len();
                 for (idx, e) in entries.iter().enumerate() {
                     let bound = d_q_parent.map(|dqp| (dqp - e.dist_to_parent).abs());
                     if bound.is_some_and(|b| b > radii[ehi0 - 1] + e.radius) {
@@ -546,16 +537,17 @@ impl<P, M: Metric<P>> SlimTree<P, M> {
                     }
                     counter.evals += 1;
                     let d = self.metric.distance(q, self.point(e.rep));
-                    slots[filled] = ((d - e.radius).max(0.0), d, idx as u32);
-                    filled += 1;
+                    counter.order.push(((d - e.radius).max(0.0), d, idx as u32));
                 }
-                let order = &mut slots[..filled];
-                order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.2.cmp(&b.2)));
-                for &(_, d, idx) in order.iter() {
+                let top = counter.order.len();
+                counter.order[base..]
+                    .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.2.cmp(&b.2)));
+                for at in base..top {
+                    let (_, d, idx) = counter.order[at];
                     let e = &entries[idx as usize];
                     let ehi = hi.min(counter.hi_cap());
                     if lo >= ehi {
-                        return;
+                        break;
                     }
                     let bound = d_q_parent.map(|dqp| (dqp - e.dist_to_parent).abs());
                     // Covered columns: the whole ball is inside the query.
@@ -588,6 +580,7 @@ impl<P, M: Metric<P>> SlimTree<P, M> {
                         self.multi_rec(e.child, q, radii, clo, chi, Some(d), counter);
                     }
                 }
+                counter.order.truncate(base);
             }
         }
     }

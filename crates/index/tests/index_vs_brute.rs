@@ -202,3 +202,42 @@ mod vp_tree {
         }
     }
 }
+
+/// A negative radius reaches nothing, and `-0.0` is `0.0`: every backend
+/// agrees with brute force on `range_count`, `range_ids` and the
+/// multi-radius count, on a line whose query point has a duplicate.
+#[test]
+fn negative_and_signed_zero_radii_match_brute() {
+    use mccatch_index::VpTree;
+    let mut pts: Vec<Vec<f64>> = (0..50).map(|i| vec![i as f64]).collect();
+    pts.push(vec![10.0]);
+    let ids: Vec<u32> = (0..pts.len() as u32).collect();
+    let brute = BruteForce::new(pts.clone(), ids.clone(), Euclidean);
+    let kd = KdTree::build(pts.clone(), ids.clone(), 4);
+    let vp = VpTree::build(pts.clone(), ids.clone(), Euclidean, 4);
+    let slim = SlimTree::build(pts.clone(), ids, Euclidean, 4);
+    let backends: [(&str, &dyn RangeIndex<Vec<f64>>); 3] =
+        [("kd", &kd), ("vp", &vp), ("slim", &slim)];
+    let radii = [-2.5, -0.0, 0.0, 1.0];
+    let q = vec![10.0];
+    for &r in &radii {
+        let want = brute.range_count(&q, r);
+        let mut want_ids = Vec::new();
+        brute.range_ids(&q, r, &mut want_ids);
+        for (name, index) in backends {
+            assert_eq!(index.range_count(&q, r), want, "{name} r={r}");
+            let mut got = Vec::new();
+            index.range_ids(&q, r, &mut got);
+            assert_eq!(got, want_ids, "{name} r={r}");
+        }
+    }
+    // No distance meets -2.5; the duplicate pair meets -0.0 and 0.0.
+    for cap in [0, 2, u32::MAX] {
+        let want = brute.multi_range_count(&q, &radii, cap);
+        assert_eq!(want.as_slice()[..2], [0, 2]);
+        for (name, index) in backends {
+            let got = index.multi_range_count(&q, &radii, cap);
+            assert_eq!(got.as_slice(), want.as_slice(), "{name} cap={cap}");
+        }
+    }
+}

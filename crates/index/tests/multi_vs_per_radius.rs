@@ -7,11 +7,16 @@
 //! at 1, 3, 5 and 20 dimensions, on lattice and duplicate points. With
 //! crossing ceilings, [`RangeIndex::multi_range_count_within`] must equal
 //! that reference with the crossing cell clamped to its ceiling, for
-//! fewer or as many distance evaluations.
+//! fewer or as many distance evaluations. The kd-tree's blocked self-join
+//! ([`RangeIndex::self_join_into`]) must equal, row for row, the
+//! per-query traversal and the brute-force oracle, for every thread
+//! count, and fall back to the per-query join when the tree does not
+//! index all of the very slice it is handed.
 
 use mccatch_index::{BruteForce, KdTree, RangeIndex, SlimTree, VpTree, OVER};
 use mccatch_metric::{Euclidean, Levenshtein};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// The contract `multi_range_count` must honor, spelled out with
 /// per-radius `range_count` calls (the default-method fallback).
@@ -99,6 +104,66 @@ fn grid() -> impl Strategy<Value = Vec<f64>> {
             .map(|k| base * ratio.powi(k as i32))
             .collect::<Vec<f64>>()
     })
+}
+
+/// Up to 400 points, enough to give several workers whole leaves.
+fn points_join() -> impl Strategy<Value = Vec<Vec<f64>>> {
+    prop::collection::vec(prop::collection::vec(-10.0..10.0f64, 20), 1..400)
+}
+
+/// One ceiling above `cap` per column, or none (empty) when `with` is 0;
+/// a step of 29 leaves its column without one.
+fn ceilings(with: u8, cap: u32, steps: &[u32], m: usize) -> Vec<u32> {
+    if with == 0 {
+        return Vec::new();
+    }
+    steps[..m]
+        .iter()
+        .map(|&d| if d == 29 { OVER } else { cap.saturating_add(d) })
+        .collect()
+}
+
+/// `index.self_join_into` over all of `points`, into rows one cell wider
+/// than the grid, and the distance evaluations it took. The spare cell
+/// of every row must come back untouched.
+fn self_join<I: RangeIndex<Vec<f64>>>(
+    index: &I,
+    points: &[Vec<f64>],
+    radii: &[f64],
+    cap: u32,
+    ceil: &[u32],
+    threads: usize,
+) -> (Vec<Vec<u32>>, u64) {
+    let stride = radii.len() + 1;
+    let mut out = vec![77; points.len() * stride];
+    let before = index.distance_stats().evals;
+    index.self_join_into(points, radii, cap, ceil, threads, &mut out, stride);
+    let evals = index.distance_stats().evals - before;
+    let rows = out
+        .chunks(stride)
+        .map(|row| {
+            assert_eq!(row[radii.len()], 77, "a cell past the grid was written");
+            row[..radii.len()].to_vec()
+        })
+        .collect();
+    (rows, evals)
+}
+
+/// Every point's `multi_range_count_within` row, one query at a time,
+/// and the evaluations they took.
+fn per_query<I: RangeIndex<Vec<f64>>>(
+    index: &I,
+    points: &[Vec<f64>],
+    radii: &[f64],
+    cap: u32,
+    ceil: &[u32],
+) -> (Vec<Vec<u32>>, u64) {
+    let before = index.distance_stats().evals;
+    let rows = points
+        .iter()
+        .map(|q| index.multi_range_count_within(q, radii, cap, ceil).to_vec())
+        .collect();
+    (rows, index.distance_stats().evals - before)
 }
 
 fn words() -> impl Strategy<Value = Vec<String>> {
@@ -253,6 +318,156 @@ proptest! {
         let c = kd.multi_range_count(q, &radii, cap);
         prop_assert_eq!(c.as_slice(), b.as_slice());
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    #[test]
+    fn kd_blocked_self_join_matches_per_query_and_brute(
+        raw in points_join(),
+        dim in 0usize..3,
+        shape in 0u8..4,
+        radii in grid(),
+        cap in 0usize..4,
+        leaf in 0usize..5,
+        with_ceilings in 0u8..2,
+        steps in prop::collection::vec(1u32..30, 12),
+    ) {
+        // Shapes 0-2 as in `kd_points`; 3 makes every point identical, so
+        // every box has zero width.
+        let mut pts = kd_points(&raw, [1, 3, 20][dim], shape.min(2));
+        if shape == 3 {
+            let first = pts[0].clone();
+            pts.iter_mut().for_each(|p| p.clone_from(&first));
+        }
+        let radii: Vec<f64> = if shape == 0 {
+            radii
+        } else {
+            radii.iter().map(|r| r.round()).collect()
+        };
+        let n = pts.len();
+        let cap = [0, 1, 5, n as u32][cap];
+        let ceil = ceilings(with_ceilings, cap, &steps, radii.len());
+        let leaf = [1, 2, 3, 16, n + 1][leaf];
+        let pts: Arc<[Vec<f64>]> = pts.into();
+        let ids: Vec<u32> = (0..n as u32).collect();
+        let kd = KdTree::build(Arc::clone(&pts), ids.clone(), leaf);
+        let brute = BruteForce::new(Arc::clone(&pts), ids, Euclidean);
+        let (want, _) = per_query(&brute, &pts, &radii, cap, &ceil);
+        let (single, _) = per_query(&kd, &pts, &radii, cap, &ceil);
+        prop_assert_eq!(&single, &want);
+        let (blocked, evals) = self_join(&kd, &pts, &radii, cap, &ceil, 1);
+        prop_assert_eq!(&blocked, &want);
+        for threads in [2, 8] {
+            let (rows, e) = self_join(&kd, &pts, &radii, cap, &ceil, threads);
+            prop_assert_eq!(&rows, &want, "threads={}", threads);
+            prop_assert_eq!(e, evals, "threads={}", threads);
+        }
+    }
+
+    #[test]
+    fn kd_self_join_falls_back_unless_it_indexes_the_very_slice(
+        raw in points_join(),
+        dim in 0usize..3,
+        radii in grid(),
+        cap in 0u32..20,
+        leaf in 1usize..20,
+        with_ceilings in 0u8..2,
+        steps in prop::collection::vec(1u32..30, 12),
+    ) {
+        let pts: Arc<[Vec<f64>]> = kd_points(&raw, [1, 3, 20][dim], 0).into();
+        let n = pts.len() as u32;
+        let ceil = ceilings(with_ceilings, cap, &steps, radii.len());
+        // A tree over every third point: each row counts the subset, as
+        // one query at a time would, for the same evaluations.
+        let subset: Vec<u32> = (0..n).step_by(3).collect();
+        let kd = KdTree::build(Arc::clone(&pts), subset.clone(), leaf);
+        let brute = BruteForce::new(Arc::clone(&pts), subset, Euclidean);
+        let (want, _) = per_query(&brute, &pts, &radii, cap, &ceil);
+        let (single, single_evals) = per_query(&kd, &pts, &radii, cap, &ceil);
+        prop_assert_eq!(&single, &want);
+        for threads in [1, 8] {
+            let (rows, evals) = self_join(&kd, &pts, &radii, cap, &ceil, threads);
+            prop_assert_eq!(&rows, &want);
+            prop_assert_eq!(evals, single_evals);
+        }
+        // A tree over all of the points, handed an equal copy of them that
+        // is not its own allocation.
+        let kd = KdTree::build(Arc::clone(&pts), (0..n).collect(), leaf);
+        let brute = BruteForce::new(Arc::clone(&pts), (0..n).collect(), Euclidean);
+        let copy = pts.to_vec();
+        let (want, _) = per_query(&brute, &copy, &radii, cap, &ceil);
+        let (single, single_evals) = per_query(&kd, &copy, &radii, cap, &ceil);
+        prop_assert_eq!(&single, &want);
+        let (rows, evals) = self_join(&kd, &copy, &radii, cap, &ceil, 2);
+        prop_assert_eq!(&rows, &want);
+        prop_assert_eq!(evals, single_evals);
+    }
+}
+
+#[test]
+fn kd_blocked_self_join_on_clusters_is_thread_invariant() {
+    // 3-d clusters of duplicates and near-duplicates, a thin shell and
+    // scattered points: n = 1,500, so 2 and 8 workers split ~94 leaves.
+    let mut pts = Vec::new();
+    for c in 0..30 {
+        let centre = [
+            (c * 37 % 101) as f64,
+            (c * 53 % 89) as f64,
+            (c * 17 % 7) as f64,
+        ];
+        for j in 0..40 {
+            let jitter = if j % 4 == 0 {
+                0.0
+            } else {
+                (j as f64 * 0.618).fract()
+            };
+            pts.push(vec![centre[0] + jitter, centre[1] - jitter, centre[2]]);
+        }
+    }
+    for i in 0..300 {
+        let a = i as f64 * 0.37;
+        pts.push(vec![
+            50.0 + 30.0 * a.cos(),
+            50.0 + 30.0 * a.sin(),
+            (i % 13) as f64,
+        ]);
+    }
+    let n = pts.len();
+    let pts: Arc<[Vec<f64>]> = pts.into();
+    let ids: Vec<u32> = (0..n as u32).collect();
+    let radii: Vec<f64> = (0..10).map(|k| 0.25 * 2f64.powi(k)).collect();
+    let brute = BruteForce::new(Arc::clone(&pts), ids.clone(), Euclidean);
+    for leaf in [1, 3, 16] {
+        let kd = KdTree::build(Arc::clone(&pts), ids.clone(), leaf);
+        for (cap, ceil) in [
+            (40, vec![]),
+            (40, vec![43; radii.len()]),
+            (u32::MAX, vec![]),
+        ] {
+            let (want, _) = per_query(&brute, &pts, &radii, cap, &ceil);
+            let (one, evals) = self_join(&kd, &pts, &radii, cap, &ceil, 1);
+            assert_eq!(one, want, "leaf={leaf} cap={cap}");
+            for threads in [2, 8] {
+                let (rows, e) = self_join(&kd, &pts, &radii, cap, &ceil, threads);
+                assert_eq!(rows, want, "leaf={leaf} cap={cap} threads={threads}");
+                assert_eq!(e, evals, "leaf={leaf} cap={cap} threads={threads}");
+            }
+        }
+    }
+}
+
+#[test]
+fn kd_self_join_on_an_empty_tree_or_grid_writes_nothing() {
+    let pts: Arc<[Vec<f64>]> = Vec::new().into();
+    let kd = KdTree::build(Arc::clone(&pts), vec![], 4);
+    kd.self_join_into(&pts, &[1.0], 3, &[], 2, &mut [], 1);
+    let pts: Arc<[Vec<f64>]> = vec![vec![0.0], vec![1.0]].into();
+    let kd = KdTree::build(Arc::clone(&pts), vec![0, 1], 4);
+    let mut out = [5u32; 2];
+    kd.self_join_into(&pts, &[], 3, &[], 2, &mut out, 1);
+    assert_eq!(out, [5, 5]);
 }
 
 #[test]
