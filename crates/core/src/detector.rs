@@ -70,7 +70,7 @@ use mccatch_index::{DistanceStats, IndexBuilder, RangeIndex};
 use mccatch_metric::{universal_code_length_f64, Metric};
 use mccatch_obs::{Span, StageId};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Step-by-step construction of a validated [`McCatch`] detector.
 ///
@@ -400,9 +400,15 @@ where
     /// with a reference inlier scores 0; queries far from every inlier —
     /// including ones sitting on a known microcluster — score high.
     ///
-    /// Large batches are split into chunks scored in parallel using the
-    /// fit's resolved thread count; queries are independent, so the output
-    /// is bit-identical regardless of threading.
+    /// The first 32 queries are scored on the calling thread and timed.
+    /// The rest gets one scoring thread per 2 ms of work their time
+    /// projects, at most the fit's resolved thread count, the calling
+    /// thread included, each over one contiguous chunk. So a serving-size batch of cheap queries (a
+    /// kd-tree's 3-d nearest inlier) stays on the calling thread, where a
+    /// server already scores each request on a worker of its own, while
+    /// queries that cost hundreds of distances (20-d vectors, strings)
+    /// split even in small batches. Queries are independent, so the output
+    /// is bit-identical on every thread count.
     ///
     /// Does not modify the fit: queries are not added to the reference
     /// set. Degenerate fits score everything 0.
@@ -419,25 +425,17 @@ where
             Some(t) => t,
         };
         let mut out = vec![0.0; queries.len()];
-        let threads = self.resolved.threads.clamp(1, queries.len().max(1));
-        if threads == 1 || queries.len() < 32 {
-            for (slot, q) in out.iter_mut().zip(queries) {
-                *slot = score_query(reference, radii, r1, q);
-            }
+        if queries.len() <= PROBE_QUERIES {
+            score_split(reference, radii, r1, queries, &mut out, 1);
             return out;
         }
-        // Each worker fills a disjoint slice of the output, so the result
-        // does not depend on the thread count.
-        let chunk = queries.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (qchunk, ochunk) in queries.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                scope.spawn(move || {
-                    for (slot, q) in ochunk.iter_mut().zip(qchunk) {
-                        *slot = score_query(reference, radii, r1, q);
-                    }
-                });
-            }
-        });
+        let (probe, rest) = queries.split_at(PROBE_QUERIES);
+        let (probe_out, rest_out) = out.split_at_mut(PROBE_QUERIES);
+        let start = Instant::now();
+        score_split(reference, radii, r1, probe, probe_out, 1);
+        let per_query = start.elapsed() / PROBE_QUERIES as u32;
+        let threads = scoring_threads(rest.len(), per_query, self.resolved.threads);
+        score_split(reference, radii, r1, rest, rest_out, threads);
         out
     }
 
@@ -735,12 +733,68 @@ where
     }
 }
 
+/// Queries [`Fitted::score_points`] scores on the calling thread, and
+/// times, before it splits the rest of a batch. A batch this small never
+/// splits.
+const PROBE_QUERIES: usize = 32;
+
+/// Projected work per scoring thread of [`Fitted::score_points`].
+/// Spawning and joining one scoped thread took ~36 µs on a 2-core Intel
+/// Xeon VM, so a spawn is under 2% of a thread's share. The work of a
+/// query ranges widely, and no query count fits every backend and metric:
+/// a kd-tree's nearest inlier among 2,000 3-d http points took 0.6–0.9 µs
+/// (2 ms is ~2,500 of them, so a 500-line batch stays on one thread),
+/// while a Slim-tree, vp-tree or kd-tree over 2,000 uniform 20-d points
+/// took 45–110 µs per query (a 500-line batch splits).
+const MIN_WORK_PER_THREAD: Duration = Duration::from_millis(2);
+
+/// The scoring threads for `rest` queries that each took `per_query` on
+/// the calling thread: one per [`MIN_WORK_PER_THREAD`] of projected work,
+/// at least 1 and at most `threads`.
+fn scoring_threads(rest: usize, per_query: Duration, threads: usize) -> usize {
+    let work = per_query.as_nanos().saturating_mul(rest as u128);
+    let wanted = work / MIN_WORK_PER_THREAD.as_nanos();
+    usize::try_from(wanted)
+        .unwrap_or(usize::MAX)
+        .clamp(1, threads.max(1))
+}
+
+/// Scores `queries` into `out` on `threads` threads, each over one
+/// contiguous chunk: the calling thread takes the first, and one spawned
+/// thread each of the others. Every thread fills a disjoint slice of
+/// `out`, so the result does not depend on `threads`.
+fn score_split<P: Sync>(
+    reference: &dyn RangeIndex<P>,
+    radii: &[f64],
+    r1: f64,
+    queries: &[P],
+    out: &mut [f64],
+    threads: usize,
+) {
+    let score = |queries: &[P], out: &mut [f64]| {
+        for (slot, q) in out.iter_mut().zip(queries) {
+            *slot = score_query(reference, radii, r1, q);
+        }
+    };
+    let chunk = queries.len().div_ceil(threads.max(1));
+    if chunk == queries.len() {
+        return score(queries, out);
+    }
+    std::thread::scope(|scope| {
+        let mut chunks = queries.chunks(chunk).zip(out.chunks_mut(chunk));
+        let (first, first_out) = chunks.next().expect("at least two chunks");
+        for (queries, out) in chunks {
+            scope.spawn(move || score(queries, out));
+        }
+        score(first, first_out);
+    });
+}
+
 /// Scores one serving-path query: nearest reference neighbor, quantized
 /// down to the grid, coded as `⟨1 + g/r₁⟩`. Free function so the parallel
 /// chunks of [`Fitted::score_points`] can share it without capturing.
 fn score_query<P>(reference: &dyn RangeIndex<P>, radii: &[f64], r1: f64, q: &P) -> f64 {
-    let nn = reference.knn(q, 1);
-    let exact = nn.first().map_or(f64::INFINITY, |p| p.dist);
+    let exact = reference.nearest(q).map_or(f64::INFINITY, |p| p.dist);
     let g = quantize_down(exact, radii);
     universal_code_length_f64(1.0 + g / r1)
 }
@@ -1120,26 +1174,46 @@ mod tests {
 
     #[test]
     fn score_points_parallel_matches_serial() {
-        // Same data, different thread counts: bit-identical batch scores
-        // even for batches large enough to trigger the parallel path.
+        // Same data, different splits: bit-identical batch scores, from
+        // score_points at 1 and 8 fit threads and from the batch split
+        // into 1, 2, 3 and 8 chunks (2 to 8 spawned threads).
         let pts = blob_with_strays();
-        let queries: Vec<Vec<f64>> = (0..257)
-            .map(|i| vec![(i % 40) as f64 * 0.7 - 5.0, (i / 40) as f64 * 0.9 - 3.0])
+        let queries: Vec<Vec<f64>> = (0..1001)
+            .map(|i| vec![(i % 80) as f64 * 0.35 - 5.0, (i / 80) as f64 * 0.5 - 3.0])
             .collect();
-        let serial = McCatch::builder()
-            .threads(1)
-            .build()
-            .unwrap()
-            .fit(pts.clone(), Euclidean, SlimTreeBuilder::default())
-            .unwrap()
-            .score_points(&queries);
-        let parallel = McCatch::builder()
-            .threads(8)
-            .build()
-            .unwrap()
-            .fit(pts, Euclidean, SlimTreeBuilder::default())
-            .unwrap()
-            .score_points(&queries);
-        assert_eq!(serial, parallel);
+        let fit = |threads: usize| {
+            McCatch::builder()
+                .threads(threads)
+                .build()
+                .unwrap()
+                .fit(pts.clone(), Euclidean, SlimTreeBuilder::default())
+                .unwrap()
+        };
+        let (one, eight) = (fit(1), fit(8));
+        let serial = one.score_points(&queries);
+        assert_eq!(serial, eight.score_points(&queries));
+        let radii = eight.grid.radii();
+        let reference = eight.inlier_tree().expect("the blob has inliers");
+        for threads in [1, 2, 3, 8] {
+            let mut out = vec![f64::NAN; queries.len()];
+            score_split(reference, radii, radii[0], &queries, &mut out, threads);
+            assert_eq!(serial, out, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn threads_follow_the_projected_work() {
+        let us = Duration::from_micros;
+        for threads in [0, 1, 2, 8] {
+            // A 500-line batch of kd 3-d queries, even at 5x their cost.
+            assert_eq!(scoring_threads(468, us(4), threads), 1);
+            assert_eq!(scoring_threads(0, us(100), threads), 1);
+        }
+        // 500 queries of ~100 µs (20-d vectors, strings) fill every thread.
+        assert_eq!(scoring_threads(468, us(100), 2), 2);
+        assert_eq!(scoring_threads(468, us(100), 8), 8);
+        // One thread per 2 ms of work.
+        assert_eq!(scoring_threads(5000, us(1), 8), 2);
+        assert_eq!(scoring_threads(usize::MAX, Duration::MAX, 8), 8);
     }
 }

@@ -79,9 +79,11 @@ pub trait Model<P>: Send + Sync {
     fn detect_output(&self) -> McCatchOutput;
 
     /// Scores new points against the fitted reference set (the serving
-    /// path) — see [`crate::Fitted::score_points`]. Large batches are
-    /// scored in parallel chunks using the fit's resolved thread count;
-    /// results are bit-identical regardless of threading.
+    /// path) — see [`crate::Fitted::score_points`]: a batch is split into
+    /// parallel chunks, up to the fit's resolved thread count, only when
+    /// the time of its first queries projects enough work to pay for the
+    /// threads, so a serving-size batch of cheap queries stays on the
+    /// calling thread; results are bit-identical regardless of threading.
     fn score_batch(&self, queries: &[P]) -> Vec<f64>;
 
     /// Scores a single query against the fitted reference set — the

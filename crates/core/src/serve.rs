@@ -170,9 +170,10 @@ impl<P> ModelStore<P> {
     }
 
     /// Scores a batch against one consistent snapshot of the current
-    /// model. The model parallelizes internally across query chunks
-    /// (its fit's resolved thread count), so this is the right call for
-    /// large batches that must be scored against a single model version.
+    /// model. The model splits a batch whose queries project enough work
+    /// into parallel chunks (up to its fit's resolved thread count), so
+    /// this is the right call for large batches that must be scored
+    /// against a single model version.
     pub fn score_batch(&self, queries: &[P]) -> Vec<f64> {
         self.snapshot().score_batch(queries)
     }

@@ -11,13 +11,20 @@
 //! ([`RangeIndex::multi_range_count_within`]). A node's box is bounded
 //! against the block's box once per visit, and each reference leaf
 //! computes every (query, point) squared distance the block needs.
+//!
+//! Its nearest-neighbor search ([`RangeIndex::knn`] and
+//! [`RangeIndex::nearest`], the serving path's one query per scored
+//! point) is one depth-first traversal that visits the nearer child
+//! first and keeps its `k` best candidates in `(d², id)` order in a
+//! bounded buffer.
 
 use crate::join::batch_multi_range_count_into;
 use crate::multi::MultiCounter;
-use crate::{DistanceStats, IndexBuilder, Neighbor, OrdF64, RangeIndex, SmallCounts};
+use crate::{
+    found, offer, DistanceStats, IndexBuilder, Neighbor, OrdF64, RangeIndex, SmallCounts,
+    EMPTY_SLOT,
+};
 use mccatch_metric::Euclidean;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -82,8 +89,9 @@ pub struct KdTree<P> {
     /// `ids[start + j]` at `blocks[start * dim + d * (end - start) + j]`,
     /// so the blocks tile the array in `ids` order (`n * dim` values).
     /// The multi-radius traversal reads only these, for a query block's
-    /// coordinates as well as a reference leaf's; the per-radius queries
-    /// and `knn` read `points` through [`Self::dist2`].
+    /// coordinates as well as a reference leaf's, and so does the
+    /// nearest-neighbor search; the per-radius queries read `points`
+    /// through [`Self::dist2`].
     blocks: Vec<f64>,
     dim: usize,
     /// Point-distance evaluations performed by queries (construction
@@ -350,6 +358,69 @@ impl<P: AsRef<[f64]>> KdTree<P> {
             .all(|&id| !std::mem::replace(&mut seen[id as usize], true))
     }
 
+    /// Fills `slots` (see [`offer`]) with the `slots.len()` nearest
+    /// indexed points to `q`.
+    fn nearest_into(&self, q: &[f64], slots: &mut [(f64, u32)]) {
+        if self.ids.is_empty() || slots.is_empty() {
+            return;
+        }
+        let mut evals = 0;
+        self.nearest_rec(0, &q[..self.dim], 0.0, slots, &mut evals);
+        self.evals.fetch_add(evals, Ordering::Relaxed);
+    }
+
+    /// Depth-first nearest-neighbor search below `node`, whose box lies
+    /// `bound` (squared) or farther from `q`. The subtree is skipped only
+    /// when `bound` is strictly greater than the last slot's `d²`, so a
+    /// point that ties it with a smaller id is still found; otherwise a
+    /// leaf offers its points and a split visits the nearer child first,
+    /// by [`Self::min_dist2`].
+    fn nearest_rec(
+        &self,
+        node: u32,
+        q: &[f64],
+        bound: f64,
+        slots: &mut [(f64, u32)],
+        evals: &mut u64,
+    ) {
+        if bound > slots[slots.len() - 1].0 {
+            return;
+        }
+        match self.nodes[node as usize].kind {
+            KdKind::Leaf { start, end } => {
+                *evals += u64::from(end - start);
+                self.offer_leaf(q, start as usize, end as usize, slots);
+            }
+            KdKind::Split { left, right } => {
+                let bl = self.min_dist2(q, self.bbox(left));
+                let br = self.min_dist2(q, self.bbox(right));
+                let ((near, near_b), (far, far_b)) = if bl <= br {
+                    ((left, bl), (right, br))
+                } else {
+                    ((right, br), (left, bl))
+                };
+                self.nearest_rec(near, q, near_b, slots, evals);
+                self.nearest_rec(far, q, far_b, slots, evals);
+            }
+        }
+    }
+
+    /// Offers every point of the leaf over `ids[start..end]` to `slots`,
+    /// with squared distances from [`leaf_dist2`], [`TILE`] points at a
+    /// time.
+    fn offer_leaf(&self, q: &[f64], start: usize, end: usize, slots: &mut [(f64, u32)]) {
+        let len = end - start;
+        let block = &self.blocks[start * self.dim..end * self.dim];
+        for (j, ids) in self.ids[start..end].chunks(TILE).enumerate() {
+            let mut tile = [0.0f64; TILE];
+            let dist = &mut tile[..ids.len()];
+            leaf_dist2(block, len, j * TILE, q.iter().copied(), dist);
+            for (&d2, &id) in dist.iter().zip(ids) {
+                offer(slots, d2, id);
+            }
+        }
+    }
+
     fn ids_rec(&self, node: u32, q: &[f64], r2: f64, out: &mut Vec<u32>, evals: &mut u64) {
         let n = &self.nodes[node as usize];
         let bbox = self.bbox(node);
@@ -387,6 +458,42 @@ impl<P: AsRef<[f64]>> KdTree<P> {
                 self.collect(right, out);
             }
         }
+    }
+}
+
+/// Points per tile of the nearest-neighbor leaf scan: the default leaf
+/// capacity, so a default leaf is one tile.
+const TILE: usize = 16;
+
+/// One query's squared distances to the points `from..from + out.len()`
+/// of a leaf whose `len` points lie dimension-major in `block` (coordinate
+/// `d` of point `j` at `block[d * len + j]`), summed into `out`, which the
+/// caller zeroes. `q` yields the query's coordinates in dimension order. Dimension-outer, so the
+/// inner loop runs across points and vectorizes, while each point still
+/// sums its coordinates in dimension order: every entry is bit-identical
+/// to [`KdTree::dist2`]. The counting tile and the nearest-neighbor scan
+/// both compute their distances here.
+#[inline]
+fn leaf_dist2(
+    block: &[f64],
+    len: usize,
+    from: usize,
+    q: impl Iterator<Item = f64>,
+    out: &mut [f64],
+) {
+    for (column, x) in block.chunks_exact(len).zip(q) {
+        for (s, &c) in out.iter_mut().zip(&column[from..]) {
+            let t = x - c;
+            *s += t * t;
+        }
+    }
+}
+
+/// A found candidate as a [`Neighbor`].
+fn neighbor(&(d2, id): &(f64, u32)) -> Neighbor {
+    Neighbor {
+        id,
+        dist: d2.sqrt(),
     }
 }
 
@@ -490,10 +597,8 @@ impl QueryBlock<'_, '_> {
 
     /// One reference leaf's tile: for every query whose own window
     /// `[lo, min(hi, hi_cap))` is not empty, the squared distances to the
-    /// leaf's `len` points (`points`, dimension-major), bucketed into that
-    /// window. Dimension-outer, so the inner loop runs across points and
-    /// vectorizes, while each pair still sums its coordinates in order:
-    /// every entry is bit-identical to `dist2`. A query is charged one
+    /// leaf's `len` points (`points`, dimension-major) from
+    /// [`leaf_dist2`], bucketed into that window. A query is charged one
     /// evaluation per pair it computes.
     fn add_leaf(&mut self, points: &[f64], len: usize, r2: &[f64], lo: usize, hi: usize) {
         for (i, counter) in self.counters.iter_mut().enumerate() {
@@ -501,15 +606,10 @@ impl QueryBlock<'_, '_> {
             if lo >= chi {
                 continue;
             }
+            let q = self.coords[i..].iter().step_by(self.stride).copied();
             let dist = counter.scratch_mut();
             dist.resize(len, 0.0);
-            for (d, column) in points.chunks_exact(len).enumerate() {
-                let x = self.coords[d * self.stride + i];
-                for (s, &c) in dist.iter_mut().zip(column) {
-                    let t = x - c;
-                    *s += t * t;
-                }
-            }
+            leaf_dist2(points, len, 0, q, dist);
             counter.evals += len as u64;
             counter.add_leaf(&r2[lo..chi], lo, chi);
         }
@@ -660,63 +760,20 @@ impl<P: AsRef<[f64]> + Send + Sync> RangeIndex<P> for KdTree<P> {
         }
     }
 
+    /// The depth-first traversal (see the private `nearest_rec`) with a
+    /// buffer of `k` candidates.
     fn knn(&self, q: &P, k: usize) -> Vec<Neighbor> {
-        if self.ids.is_empty() || k == 0 {
-            return Vec::new();
-        }
-        let q = q.as_ref();
-        let mut evals = 0u64;
-        let mut frontier: BinaryHeap<Reverse<(OrdF64, u32)>> = BinaryHeap::new();
-        let mut best: BinaryHeap<(OrdF64, u32)> = BinaryHeap::new();
-        frontier.push(Reverse((OrdF64(0.0), 0)));
-        while let Some(Reverse((OrdF64(lb2), node))) = frontier.pop() {
-            let tau2 = if best.len() < k {
-                f64::INFINITY
-            } else {
-                best.peek().expect("non-empty").0 .0
-            };
-            if lb2 > tau2 {
-                break;
-            }
-            let n = &self.nodes[node as usize];
-            match n.kind {
-                KdKind::Leaf { start, end } => {
-                    evals += (end - start) as u64;
-                    for &id in &self.ids[start as usize..end as usize] {
-                        let d2 = self.dist2(q, id);
-                        let tau2 = if best.len() < k {
-                            f64::INFINITY
-                        } else {
-                            best.peek().expect("non-empty").0 .0
-                        };
-                        if d2 < tau2 || (d2 == tau2 && best.len() < k) {
-                            best.push((OrdF64(d2), id));
-                            if best.len() > k {
-                                best.pop();
-                            }
-                        }
-                    }
-                }
-                KdKind::Split { left, right } => {
-                    for child in [left, right] {
-                        let lb2 = self.min_dist2(q, self.bbox(child));
-                        if best.len() < k || lb2 <= best.peek().expect("non-empty").0 .0 {
-                            frontier.push(Reverse((OrdF64(lb2), child)));
-                        }
-                    }
-                }
-            }
-        }
-        self.evals.fetch_add(evals, Ordering::Relaxed);
-        let mut out: Vec<Neighbor> = best
-            .into_iter()
-            .map(|(OrdF64(d2), id)| Neighbor {
-                id,
-                dist: d2.sqrt(),
-            })
-            .collect();
-        out.sort_by(|a, b| OrdF64(a.dist).cmp(&OrdF64(b.dist)).then(a.id.cmp(&b.id)));
-        out
+        let mut slots = vec![EMPTY_SLOT; k.min(self.ids.len())];
+        self.nearest_into(q.as_ref(), &mut slots);
+        found(&slots).iter().map(neighbor).collect()
+    }
+
+    /// The traversal of [`knn`](RangeIndex::knn) with `k = 1`, its one
+    /// candidate on the stack.
+    fn nearest(&self, q: &P) -> Option<Neighbor> {
+        let mut slot = [EMPTY_SLOT];
+        self.nearest_into(q.as_ref(), &mut slot);
+        found(&slot).first().map(neighbor)
     }
 
     /// Diameter of the root bounding box — for vector data this is the

@@ -192,6 +192,38 @@ impl Ord for OrdF64 {
     }
 }
 
+/// An empty candidate slot of a nearest-neighbor search, `(distance,
+/// id)`: it sorts after every candidate, so the last slot is always the
+/// one to beat.
+pub(crate) const EMPTY_SLOT: (f64, u32) = (f64::INFINITY, u32::MAX);
+
+/// Offers the candidate `(d, id)` to `slots`, which hold the `k` best
+/// candidates of a nearest-neighbor search so far, ascending in
+/// `(distance, id)` order, then [`EMPTY_SLOT`]s. It enters if it precedes
+/// the last slot, which it pushes out, so among equal distances the
+/// smaller ids are kept, as [`BruteForce`] keeps them. A NaN distance
+/// never enters. `d` may be any increasing function of the distance (the
+/// kd-tree offers squared distances).
+#[inline]
+pub(crate) fn offer(slots: &mut [(f64, u32)], d: f64, id: u32) {
+    let precedes = |(sd, sid): (f64, u32)| d < sd || (d == sd && id < sid);
+    let mut at = slots.len() - 1;
+    if !precedes(slots[at]) {
+        return;
+    }
+    while at > 0 && precedes(slots[at - 1]) {
+        slots[at] = slots[at - 1];
+        at -= 1;
+    }
+    slots[at] = (d, id);
+}
+
+/// The candidates of a finished search: `slots` up to the first empty one.
+pub(crate) fn found(slots: &[(f64, u32)]) -> &[(f64, u32)] {
+    let n = slots.iter().position(|&s| s == EMPTY_SLOT);
+    &slots[..n.unwrap_or(slots.len())]
+}
+
 /// An index over a subset of a dataset supporting the queries MCCATCH and
 /// the baselines need. Ids refer to positions in the dataset slice the
 /// index was built over, so indexes over subsets (outliers, inliers,
@@ -316,9 +348,21 @@ pub trait RangeIndex<P>: Sync {
     /// (inclusive) to `out`, in ascending id order.
     fn range_ids(&self, q: &P, radius: f64, out: &mut Vec<u32>);
 
-    /// The `k` nearest indexed elements to `q`, sorted by `(distance, id)`.
-    /// Returns fewer than `k` if the index is smaller.
+    /// The first `k` indexed elements in `(distance, id)` order from `q`:
+    /// among elements at equal distance, the smaller ids come first, so
+    /// every backend returns the same ids as [`BruteForce`]. Returns fewer
+    /// than `k` if the index is smaller.
     fn knn(&self, q: &P, k: usize) -> Vec<Neighbor>;
+
+    /// The first indexed element in `(distance, id)` order from `q`, or
+    /// `None` when the index is empty: `knn(q, 1)`'s one neighbor. This is
+    /// the serving path's query (MCCATCH scores a new point by its
+    /// distance to the nearest reference inlier, Alg. 4 lines 21–24). The
+    /// provided default calls [`knn`](Self::knn); the kd-tree answers it
+    /// on its `knn` traversal with one candidate and no heap allocation.
+    fn nearest(&self, q: &P) -> Option<Neighbor> {
+        self.knn(q, 1).into_iter().next()
+    }
 
     /// Estimate of the dataset diameter, derived from the index structure
     /// (Alg. 1 line 2: "Estimate diameter l of P from T").

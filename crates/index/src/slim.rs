@@ -23,7 +23,10 @@
 //! * **Determinism.** No randomness anywhere; ties break on index order.
 
 use crate::multi::MultiCounter;
-use crate::{DistanceStats, IndexBuilder, Neighbor, OrdF64, RangeIndex, SmallCounts};
+use crate::{
+    found, offer, DistanceStats, IndexBuilder, Neighbor, OrdF64, RangeIndex, SmallCounts,
+    EMPTY_SLOT,
+};
 use mccatch_metric::Metric;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -693,18 +696,13 @@ impl<P: Send + Sync, M: Metric<P>> RangeIndex<P> for SlimTree<P, M> {
             return Vec::new();
         }
         // Best-first search. `frontier` orders nodes by optimistic distance;
-        // `best` keeps the current k nearest as a max-heap.
+        // `best` keeps the current k nearest in `(distance, id)` order, and
+        // its last slot is the distance to beat.
         let mut evals = 0u64;
         let mut frontier: BinaryHeap<Reverse<(OrdF64, u32)>> = BinaryHeap::new();
-        let mut best: BinaryHeap<(OrdF64, u32)> = BinaryHeap::new();
+        let mut best = vec![EMPTY_SLOT; k.min(self.len)];
         frontier.push(Reverse((OrdF64(0.0), self.root)));
-        let tau = |best: &BinaryHeap<(OrdF64, u32)>| {
-            if best.len() < k {
-                f64::INFINITY
-            } else {
-                best.peek().expect("non-empty").0 .0
-            }
-        };
+        let tau = |best: &[(f64, u32)]| best[best.len() - 1].0;
         while let Some(Reverse((OrdF64(lb), node))) = frontier.pop() {
             if lb > tau(&best) {
                 break;
@@ -714,12 +712,7 @@ impl<P: Send + Sync, M: Metric<P>> RangeIndex<P> for SlimTree<P, M> {
                     evals += entries.len() as u64;
                     for e in entries {
                         let d = self.metric.distance(q, self.point(e.id));
-                        if d < tau(&best) || (d == tau(&best) && best.len() < k) {
-                            best.push((OrdF64(d), e.id));
-                            if best.len() > k {
-                                best.pop();
-                            }
-                        }
+                        offer(&mut best, d, e.id);
                     }
                 }
                 Node::Internal(entries) => {
@@ -735,12 +728,10 @@ impl<P: Send + Sync, M: Metric<P>> RangeIndex<P> for SlimTree<P, M> {
             }
         }
         self.evals.fetch_add(evals, Ordering::Relaxed);
-        let mut out: Vec<Neighbor> = best
-            .into_iter()
-            .map(|(OrdF64(dist), id)| Neighbor { id, dist })
-            .collect();
-        out.sort_by(|a, b| OrdF64(a.dist).cmp(&OrdF64(b.dist)).then(a.id.cmp(&b.id)));
-        out
+        found(&best)
+            .iter()
+            .map(|&(dist, id)| Neighbor { id, dist })
+            .collect()
     }
 
     /// Alg. 1 line 2: the maximum distance between any two child nodes of

@@ -15,7 +15,10 @@
 //! three indexes against each other.
 
 use crate::multi::MultiCounter;
-use crate::{DistanceStats, IndexBuilder, Neighbor, OrdF64, RangeIndex, SmallCounts};
+use crate::{
+    found, offer, DistanceStats, IndexBuilder, Neighbor, OrdF64, RangeIndex, SmallCounts,
+    EMPTY_SLOT,
+};
 use mccatch_metric::Metric;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -388,15 +391,10 @@ impl<P: Send + Sync, M: Metric<P>> RangeIndex<P> for VpTree<P, M> {
         }
         let mut evals = 0u64;
         let mut frontier: BinaryHeap<Reverse<(OrdF64, u32)>> = BinaryHeap::new();
-        let mut best: BinaryHeap<(OrdF64, u32)> = BinaryHeap::new();
+        let mut best = vec![EMPTY_SLOT; k.min(self.ids.len())];
         frontier.push(Reverse((OrdF64(0.0), 0)));
         while let Some(Reverse((OrdF64(lb), node))) = frontier.pop() {
-            let tau = if best.len() < k {
-                f64::INFINITY
-            } else {
-                best.peek().expect("non-empty").0 .0
-            };
-            if lb > tau {
+            if lb > best[best.len() - 1].0 {
                 break;
             }
             match &self.nodes[node as usize] {
@@ -404,17 +402,7 @@ impl<P: Send + Sync, M: Metric<P>> RangeIndex<P> for VpTree<P, M> {
                     evals += (end - start) as u64;
                     for &i in &self.ids[*start as usize..*end as usize] {
                         let d = self.metric.distance(q, &self.points[i as usize]);
-                        let tau = if best.len() < k {
-                            f64::INFINITY
-                        } else {
-                            best.peek().expect("non-empty").0 .0
-                        };
-                        if d < tau || (d == tau && best.len() < k) {
-                            best.push((OrdF64(d), i));
-                            if best.len() > k {
-                                best.pop();
-                            }
-                        }
+                        offer(&mut best, d, i);
                     }
                 }
                 VpNode::Split {
@@ -435,12 +423,10 @@ impl<P: Send + Sync, M: Metric<P>> RangeIndex<P> for VpTree<P, M> {
             }
         }
         self.evals.fetch_add(evals, Ordering::Relaxed);
-        let mut out: Vec<Neighbor> = best
-            .into_iter()
-            .map(|(OrdF64(dist), id)| Neighbor { id, dist })
-            .collect();
-        out.sort_by(|a, b| OrdF64(a.dist).cmp(&OrdF64(b.dist)).then(a.id.cmp(&b.id)));
-        out
+        found(&best)
+            .iter()
+            .map(|&(dist, id)| Neighbor { id, dist })
+            .collect()
     }
 
     /// The root shell radius bounds half the diameter; double it, matching

@@ -13,6 +13,7 @@
 use mccatch_obs::json;
 use mccatch_persist::PersistPoint;
 use mccatch_stream::ScoredEvent;
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// Parses one request line into a point. Implementations must be cheap
@@ -26,14 +27,26 @@ pub type LineParser<P> = Arc<dyn Fn(&str) -> Result<P, String> + Send + Sync>;
 /// lines both render through it, so the two surfaces cannot drift
 /// apart.
 pub fn scored_event_json(e: &ScoredEvent) -> String {
-    format!(
-        "{{\"seq\": {}, \"tick\": {}, \"score\": {}, \"generation\": {}, \"flagged\": {}}}",
-        e.seq,
-        e.tick,
-        json_f64(e.score),
-        e.generation,
-        e.flagged
-    )
+    // A typical line is ~90 bytes: allocate once.
+    let mut out = String::with_capacity(128);
+    write_scored_event_json(&mut out, e);
+    out
+}
+
+/// Appends [`scored_event_json`]`(e)` to `out`, with no intermediate
+/// `String`: the form a response body is rendered with.
+pub fn write_scored_event_json(out: &mut String, e: &ScoredEvent) {
+    let _ = write!(
+        out,
+        "{{\"seq\": {}, \"tick\": {}, \"score\": ",
+        e.seq, e.tick
+    );
+    write_json_f64(out, e.score);
+    let _ = write!(
+        out,
+        ", \"generation\": {}, \"flagged\": {}}}",
+        e.generation, e.flagged
+    );
 }
 
 /// Parses one NDJSON line into a vector point. Accepts a JSON array
@@ -113,10 +126,17 @@ pub fn parse_string_line(line: &str) -> Result<String, String> {
 /// when finite (so a client parsing it back recovers the identical
 /// bits), `null` otherwise (JSON has no Infinity/NaN literals).
 pub fn json_f64(v: f64) -> String {
+    let mut out = String::new();
+    write_json_f64(&mut out, v);
+    out
+}
+
+/// Appends [`json_f64`]`(v)` to `out`, with no intermediate `String`.
+pub fn write_json_f64(out: &mut String, v: f64) {
     if v.is_finite() {
-        format!("{v}")
+        let _ = write!(out, "{v}");
     } else {
-        "null".to_owned()
+        out.push_str("null");
     }
 }
 
@@ -220,6 +240,33 @@ mod tests {
         assert_eq!(json_f64(v).parse::<f64>().unwrap().to_bits(), v.to_bits());
         assert_eq!(json_f64(f64::INFINITY), "null");
         assert_eq!(json_f64(f64::NAN), "null");
+    }
+
+    #[test]
+    fn writers_append_what_the_string_forms_return() {
+        let mut body = "head\n".to_owned();
+        write_json_f64(&mut body, 0.1 + 0.2);
+        write_json_f64(&mut body, f64::NEG_INFINITY);
+        assert_eq!(body, format!("head\n{}null", json_f64(0.1 + 0.2)));
+        for score in [1.25, f64::INFINITY] {
+            let e = ScoredEvent {
+                seq: 7,
+                tick: 9,
+                score,
+                generation: 2,
+                flagged: true,
+            };
+            let mut body = "head\n".to_owned();
+            write_scored_event_json(&mut body, &e);
+            assert_eq!(body, format!("head\n{}", scored_event_json(&e)));
+            assert_eq!(
+                scored_event_json(&e),
+                format!(
+                    "{{\"seq\": 7, \"tick\": 9, \"score\": {}, \"generation\": 2, \"flagged\": true}}",
+                    json_f64(score)
+                )
+            );
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! policies exactly as a library caller would), persists the tenant's
 //! snapshot set, and exposes the counters `/metrics` renders.
 
-use crate::ndjson::{body_lines, json_f64, LineParser};
+use crate::ndjson::{body_lines, write_json_f64, write_scored_event_json, LineParser};
 use mccatch_core::ModelStats;
 use mccatch_index::IndexBuilder;
 use mccatch_metric::Metric;
@@ -260,7 +260,9 @@ where
             match entry {
                 Ok(_) => {
                     let s = next_score.next().expect("one score per parsed point");
-                    body.push_str(&format!("{{\"score\": {}}}\n", json_f64(s)));
+                    body.push_str("{\"score\": ");
+                    write_json_f64(&mut body, s);
+                    body.push_str("}\n");
                     lines_ok += 1;
                 }
                 Err((line_no, msg)) => {
@@ -293,7 +295,7 @@ where
                 // shard, not per batch).
                 Ok(point) => match self.tenant.ingest(point) {
                     Ok(event) => {
-                        out.push_str(&crate::ndjson::scored_event_json(&event));
+                        write_scored_event_json(&mut out, &event);
                         out.push('\n');
                         lines_ok += 1;
                     }
