@@ -5,7 +5,7 @@
 //! points *not* within `r`) so the detector yields a ranking like the
 //! others; thresholding it at `1 − π` recovers the boolean definition.
 
-use mccatch_index::{batch_range_count, IndexBuilder, RangeIndex};
+use mccatch_index::{batch_range_count, IndexBuilder};
 use mccatch_metric::Metric;
 
 /// DB-Out scores for neighborhood radius `r` (the paper tunes
@@ -38,17 +38,6 @@ pub fn radius_grid(diameter: f64) -> [f64; 4] {
         diameter * 0.25,
         diameter * 0.5,
     ]
-}
-
-/// Convenience: the dataset diameter estimated from an index build, so the
-/// harness can derive Tab. II radius grids without duplicating tree builds.
-pub fn estimate_diameter<P, M, B>(points: &[P], metric: &M, builder: &B) -> f64
-where
-    P: Sync + Clone,
-    M: Metric<P> + Clone,
-    B: IndexBuilder<P, M>,
-{
-    builder.build_all_ref(points, metric).diameter_estimate()
 }
 
 #[cfg(test)]

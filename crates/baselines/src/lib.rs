@@ -43,7 +43,7 @@ pub mod sciforest;
 pub(crate) mod unionfind_small;
 
 pub use abod::{abod_scores, fast_abod_scores};
-pub use dbout::{db_out_scores, estimate_diameter, radius_grid};
+pub use dbout::{db_out_scores, radius_grid};
 pub use dbscan::{dbscan, dbscan_scores, DbscanLabel};
 pub use dmca::{dmca, DmcaResult};
 pub use gen2out::{gen2out, Gen2OutGroup, Gen2OutResult};

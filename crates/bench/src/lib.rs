@@ -131,6 +131,13 @@ pub fn run_mccatch(points: &[Vec<f64>], labels: &[bool]) -> (MethodRun, McCatchO
     (run, out)
 }
 
+/// The dataset diameter `l` that Tab. II's DB-Out and LOCI radius grids
+/// are relative to: the Euclidean bound MCCATCH's own grid starts from.
+fn diameter(points: &[Vec<f64>]) -> f64 {
+    let ids: Vec<u32> = (0..points.len() as u32).collect();
+    Euclidean.diameter_bound(points, &ids).0
+}
+
 /// Runs one Fig. 6 baseline over its Tab. II hyperparameter grid and keeps
 /// the best-AUROC configuration — the paper's competitors were "carefully
 /// tuned following hyperparameter-setting heuristics widely adopted in
@@ -165,7 +172,7 @@ pub fn run_baseline(method: &'static str, points: &[Vec<f64>], labels: &[bool]) 
             if n > 6_000 {
                 return MethodRun::skipped(method, "excessive runtime (O(n^2))");
             }
-            let l = bl::estimate_diameter(points, &Euclidean, &KdTreeBuilder::default());
+            let l = diameter(points);
             vec![bl::loci_scores(
                 points,
                 &Euclidean,
@@ -183,7 +190,7 @@ pub fn run_baseline(method: &'static str, points: &[Vec<f64>], labels: &[bool]) 
             if n > 120_000 {
                 return MethodRun::skipped(method, "excessive runtime");
             }
-            let l = bl::estimate_diameter(points, &Euclidean, &KdTreeBuilder::default());
+            let l = diameter(points);
             bl::radius_grid(l)
                 .iter()
                 .map(|&r| bl::db_out_scores(points, &Euclidean, &KdTreeBuilder::default(), r))

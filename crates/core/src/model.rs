@@ -176,8 +176,9 @@ pub struct ModelExport<P> {
     pub params: Params,
     /// The index backend's stable name (see
     /// `IndexBuilder::backend_name`): a snapshot must be rebuilt with
-    /// the same index family, since the diameter estimate — and hence
-    /// the radius grid and every score — depends on the tree structure.
+    /// the same index family, since its witness compares the distance
+    /// evaluations, which count the tree's work (the answers do not
+    /// depend on the tree).
     pub backend: &'static str,
 }
 

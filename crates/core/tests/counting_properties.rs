@@ -109,12 +109,15 @@ proptest! {
         prop_assume!(!grid.is_degenerate());
         let slim = SlimTreeBuilder::default().build_all_ref(&pts, &Euclidean);
         let vp = VpTreeBuilder::default().build_all_ref(&pts, &Euclidean);
+        let kd = KdTreeBuilder::default().build_all_ref(&pts, &Euclidean);
         let a = count_neighbors(&brute, &pts, grid.radii(), c, 1);
         let b = count_neighbors(&slim, &pts, grid.radii(), c, 1);
         let d = count_neighbors(&vp, &pts, grid.radii(), c, 1);
+        let k = count_neighbors(&kd, &pts, grid.radii(), c, 1);
         for i in 0..pts.len() {
             prop_assert_eq!(a.row(i), b.row(i), "slim row {} differs", i);
             prop_assert_eq!(a.row(i), d.row(i), "vp row {} differs", i);
+            prop_assert_eq!(a.row(i), k.row(i), "kd row {} differs", i);
         }
     }
 }

@@ -132,44 +132,11 @@ impl<P: Send + Sync, M: Metric<P>> RangeIndex<P> for BruteForce<P, M> {
         all
     }
 
-    /// Exact diameter for up to 2048 elements; beyond that, a deterministic
-    /// multi-sweep lower bound (pick a point, walk to the farthest point,
-    /// repeat), which is exact on most real point sets and never
-    /// overestimates.
+    /// The metric's [`Metric::diameter_bound`] over the indexed ids.
     fn diameter_estimate(&self) -> f64 {
-        let n = self.ids.len();
-        if n < 2 {
-            return 0.0;
-        }
-        let d = |a: u32, b: u32| {
-            self.metric
-                .distance(&self.points[a as usize], &self.points[b as usize])
-        };
-        if n <= 2048 {
-            self.record_evals((n * (n - 1) / 2) as u64);
-            let mut best = 0.0f64;
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    best = best.max(d(self.ids[i], self.ids[j]));
-                }
-            }
-            return best;
-        }
-        // Each sweep's max_by evaluates two distances per comparison.
-        self.record_evals(4 * (2 * (n as u64 - 1) + 1));
-        let mut best = 0.0f64;
-        let mut cur = self.ids[0];
-        for _ in 0..4 {
-            let far = self
-                .ids
-                .iter()
-                .copied()
-                .max_by(|&a, &b| OrdF64(d(cur, a)).cmp(&OrdF64(d(cur, b))))
-                .expect("non-empty");
-            best = best.max(d(cur, far));
-            cur = far;
-        }
-        best
+        let (bound, evals) = self.metric.diameter_bound(&self.points, &self.ids);
+        self.record_evals(evals);
+        bound
     }
 }
 

@@ -24,7 +24,7 @@ use crate::{
     found, offer, DistanceStats, IndexBuilder, Neighbor, OrdF64, RangeIndex, SmallCounts,
     EMPTY_SLOT,
 };
-use mccatch_metric::Euclidean;
+use mccatch_metric::{Euclidean, Metric};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -515,16 +515,30 @@ fn far_gap(x: f64, lo: f64, hi: f64) -> f64 {
     (x - lo).abs().max((x - hi).abs())
 }
 
-/// The squared bound a query compares squared distances against:
-/// `radius²`, or `-∞` for a negative radius, which no distance meets.
-/// `-0.0` squares to `0.0`, so it still counts exact duplicates.
+/// The squared bound a query compares squared distances against: the
+/// largest `s` with `fl(√s) ≤ radius`, so `d² ≤ s` exactly when the
+/// [`Euclidean`] distance `fl(√d²)` is within `radius`, as the metric
+/// backends test it (`radius²` itself can round below a distance that
+/// meets the radius: `(√3)²` is `2.9999999999999996`). `-∞` for a
+/// negative radius, which no distance meets; `-0.0` still counts exact
+/// duplicates, and non-finite radii square as they are.
 #[inline]
 fn squared(radius: f64) -> f64 {
     if radius < 0.0 {
-        f64::NEG_INFINITY
-    } else {
-        radius * radius
+        return f64::NEG_INFINITY;
     }
+    let mut s = radius * radius;
+    if !radius.is_finite() {
+        return s;
+    }
+    // `fl(√·)` is monotone and `s` is within a few ulps of the answer.
+    while s.sqrt() > radius {
+        s = s.next_down();
+    }
+    while s.next_up().sqrt() <= radius {
+        s = s.next_up();
+    }
+    s
 }
 
 /// Squared near and far bounds between the boxes `a` and `b` (both
@@ -776,20 +790,9 @@ impl<P: AsRef<[f64]> + Send + Sync> RangeIndex<P> for KdTree<P> {
         found(&slot).first().map(neighbor)
     }
 
-    /// Diameter of the root bounding box — for vector data this is the
-    /// natural analogue of the paper's "max distance between root children".
+    /// [`Euclidean`]'s bound: the bounding-box diagonal, no evaluations.
     fn diameter_estimate(&self) -> f64 {
-        if self.nodes.is_empty() {
-            return 0.0;
-        }
-        let bbox = self.bbox(0);
-        (0..self.dim)
-            .map(|d| {
-                let w = bbox[2 * d + 1] - bbox[2 * d];
-                w * w
-            })
-            .sum::<f64>()
-            .sqrt()
+        Euclidean.diameter_bound(&self.points, &self.ids).0
     }
 }
 

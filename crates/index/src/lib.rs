@@ -364,8 +364,14 @@ pub trait RangeIndex<P>: Sync {
         self.knn(q, 1).into_iter().next()
     }
 
-    /// Estimate of the dataset diameter, derived from the index structure
-    /// (Alg. 1 line 2: "Estimate diameter l of P from T").
+    /// The diameter estimate `l` of the indexed elements (Alg. 1 line 2),
+    /// from which the fit derives its whole radius grid: the metric's
+    /// [`Metric::diameter_bound`] over the indexed ids, with its
+    /// evaluations charged to [`distance_stats`](Self::distance_stats).
+    /// It does not depend on the tree, so every backend fits the same
+    /// grid and gives the same answers; and it is an upper bound on every
+    /// distance between two indexed elements, so the grid's last radius
+    /// reaches every neighbor.
     fn diameter_estimate(&self) -> f64;
 }
 
@@ -419,8 +425,9 @@ pub trait IndexBuilder<P, M: Metric<P>>: Sync {
     /// A short, stable identifier for this backend ("brute", "kd", "vp",
     /// "slim"), used to label metrics and to tag persisted model
     /// snapshots so a snapshot is only rebuilt with the index family it
-    /// was fitted with (the diameter estimate — and hence the radius
-    /// grid and every score — depends on the tree structure).
+    /// was fitted with. Every backend gives the same answers; the tag
+    /// matters because a snapshot's witness compares the fit's distance
+    /// evaluations, which count the tree's work.
     fn backend_name(&self) -> &'static str {
         "custom"
     }

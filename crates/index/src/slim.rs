@@ -11,8 +11,9 @@
 //!   least (preferring children that already cover the point, breaking ties
 //!   by distance — the Slim-tree `minDist` policy).
 //! * **Splits** use the Slim-tree's signature *MST split*: a minimum
-//!   spanning tree over the overflowing entries is cut at its longest edge,
-//!   and each side is represented by its minimum-covering-radius member.
+//!   spanning tree over the overflowing entries is cut at its longest edge
+//!   that leaves at least an eighth of the entries on each side, and each
+//!   side is represented by its minimum-covering-radius member.
 //! * **Queries** prune with the triangle inequality twice: against the
 //!   stored parent distance (avoiding a distance computation entirely) and
 //!   against the covering radius. Count queries additionally use the
@@ -734,53 +735,28 @@ impl<P: Send + Sync, M: Metric<P>> RangeIndex<P> for SlimTree<P, M> {
             .collect()
     }
 
-    /// Alg. 1 line 2: the maximum distance between any two child nodes of
-    /// the root, here computed as rep-to-rep distance plus both covering
-    /// radii (an upper estimate that is safe for the radius grid). A leaf
-    /// root yields the exact max pairwise distance.
+    /// The metric's [`Metric::diameter_bound`] over the indexed ids.
     fn diameter_estimate(&self) -> f64 {
-        match &self.nodes[self.root as usize] {
-            Node::Leaf(entries) => {
-                let n = entries.len() as u64;
-                self.evals
-                    .fetch_add(n * n.saturating_sub(1) / 2, Ordering::Relaxed);
-                let mut best = 0.0f64;
-                for i in 0..entries.len() {
-                    for j in (i + 1)..entries.len() {
-                        best = best.max(self.dist(entries[i].id, entries[j].id));
-                    }
-                }
-                best
-            }
-            Node::Internal(entries) => {
-                let n = entries.len() as u64;
-                self.evals
-                    .fetch_add(n * n.saturating_sub(1) / 2, Ordering::Relaxed);
-                let mut best = 0.0f64;
-                for i in 0..entries.len() {
-                    for j in (i + 1)..entries.len() {
-                        let d = self.dist(entries[i].rep, entries[j].rep)
-                            + entries[i].radius
-                            + entries[j].radius;
-                        best = best.max(d);
-                    }
-                }
-                if entries.len() == 1 {
-                    best = 2.0 * entries[0].radius;
-                }
-                best
-            }
-        }
+        let mut ids = Vec::with_capacity(self.len);
+        self.collect_subtree(self.root, &mut ids);
+        let (bound, evals) = self.metric.diameter_bound(&self.points, &ids);
+        self.evals.fetch_add(evals, Ordering::Relaxed);
+        bound
     }
 }
 
-/// Cuts the longest edge of a minimum spanning tree over `m` items with
-/// distance matrix `dm` (row-major `m × m`), returning a 0/1 side label per
-/// item. Prim's algorithm, O(m²); ties break on index order, so the split
+/// Splits `m` items with distance matrix `dm` (row-major `m × m`) in two
+/// by cutting one edge of their minimum spanning tree, returning a 0/1
+/// side label per item. The cut is the longest edge that leaves at least
+/// `max(1, m / 8)` items on each side, so a split does not peel one far
+/// item off a full node and grow a chain of near-empty nodes; when no edge
+/// does, it is the most balanced edge, the longest among equally balanced
+/// ones. Prim's algorithm, O(m²); ties break on index order, so the split
 /// is deterministic.
 fn mst_split(dm: &[f64], m: usize) -> Vec<u8> {
     debug_assert!(m >= 2);
-    // Prim from item 0.
+    // Prim from item 0. `edges[k]` joins the `k + 1`-th item to its parent,
+    // `(parent, child, length)`, so every child follows its parent.
     let mut in_tree = vec![false; m];
     let mut best_dist = vec![f64::INFINITY; m];
     let mut best_from = vec![0usize; m];
@@ -809,35 +785,28 @@ fn mst_split(dm: &[f64], m: usize) -> Vec<u8> {
             }
         }
     }
-    // Remove the longest MST edge (first of ties) and 2-color the rest.
+    // Items in the subtree below each child, children before parents.
+    let mut below = vec![1usize; m];
+    for &(u, v, _) in edges.iter().rev() {
+        below[u] += below[v];
+    }
+    // Every edge leaving `min_side` items on its smaller side ranks above
+    // every edge that does not; then the longer edge, then the first.
+    let min_side = (m / 8).max(1);
+    let rank = |&(_, v, len): &(usize, usize, f64)| {
+        (below[v].min(m - below[v]).min(min_side), OrdF64(len))
+    };
     let cut = edges
         .iter()
         .enumerate()
-        .max_by(|(ia, a), (ib, b)| OrdF64(a.2).cmp(&OrdF64(b.2)).then(ib.cmp(ia)))
+        .max_by(|(ia, a), (ib, b)| rank(a).cmp(&rank(b)).then(ib.cmp(ia)))
         .map(|(i, _)| i)
         .expect("at least one edge");
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); m];
-    for (i, &(u, v, _)) in edges.iter().enumerate() {
-        if i != cut {
-            adj[u].push(v);
-            adj[v].push(u);
-        }
-    }
-    let mut side = vec![u8::MAX; m];
-    let mut stack = vec![edges[cut].0];
-    side[edges[cut].0] = 0;
-    while let Some(u) = stack.pop() {
-        for &v in &adj[u] {
-            if side[v] == u8::MAX {
-                side[v] = 0;
-                stack.push(v);
-            }
-        }
-    }
-    for s in side.iter_mut() {
-        if *s == u8::MAX {
-            *s = 1;
-        }
+    // Side 1 is the subtree below the cut edge's child.
+    let mut side = vec![0u8; m];
+    side[edges[cut].1] = 1;
+    for &(u, v, _) in &edges[cut + 1..] {
+        side[v] = side[u];
     }
     side
 }
@@ -937,9 +906,8 @@ mod tests {
         let t = tree(&pts, 8);
         let exact = 299.0;
         let est = t.diameter_estimate();
-        // Upper estimate: never below the exact value/1 (it sums covering
-        // radii), and not absurdly above.
-        assert!(est >= exact * 0.5, "est={est}");
+        // An upper bound, and not absurdly above.
+        assert!(est >= exact, "est={est}");
         assert!(est <= exact * 3.0, "est={est}");
     }
 
@@ -964,6 +932,86 @@ mod tests {
         t.range_ids(&pts[4], 2.0, &mut out);
         assert_eq!(out, vec![2, 4, 6]);
         assert_eq!(t.len(), 4);
+    }
+
+    /// The row-major distance matrix of points on a line.
+    fn line_matrix(pos: &[f64]) -> Vec<f64> {
+        pos.iter()
+            .flat_map(|a| pos.iter().map(move |b| (a - b).abs()))
+            .collect()
+    }
+
+    #[test]
+    fn mst_split_keeps_an_eighth_on_each_side() {
+        // 32 entries one apart and one far away: the longest edge would
+        // peel the far entry off alone, leaving a chain of one-entry nodes.
+        let mut pos: Vec<f64> = (0..32).map(f64::from).collect();
+        pos.push(1000.0);
+        let m = pos.len();
+        let side = mst_split(&line_matrix(&pos), m);
+        let ones = side.iter().filter(|&&s| s == 1).count();
+        assert!(ones.min(m - ones) >= m / 8, "sides {ones} and {}", m - ones);
+        // Every kept edge is one apart, so the cut is the first that
+        // qualifies, and the far entry stays with its neighbor.
+        assert_eq!(side[31], side[32]);
+        // Small nodes split at the longest edge, as before.
+        let pos = [0.0, 1.0, 2.0, 3.0, 100.0];
+        assert_eq!(mst_split(&line_matrix(&pos), 5), [0, 0, 0, 0, 1]);
+    }
+
+    #[test]
+    fn mst_split_with_equal_edges_is_deterministic() {
+        // Every pair equally far apart: Prim grows a star from entry 0,
+        // every edge cuts one entry off, and no edge leaves m / 8 on both
+        // sides; the most balanced, longest, first edge is cut.
+        let m = 33;
+        let dm: Vec<f64> = (0..m * m)
+            .map(|k| if k / m == k % m { 0.0 } else { 1.0 })
+            .collect();
+        let side = mst_split(&dm, m);
+        assert_eq!(side, mst_split(&dm, m));
+        assert!(side.contains(&0) && side.contains(&1));
+        assert_eq!(side.iter().filter(|&&s| s == 1).count(), 1);
+        assert_eq!(side[1], 1);
+        // A line of equal steps: the first edge with four entries behind it.
+        let pos: Vec<f64> = (0..m).map(|i| i as f64).collect();
+        let side = mst_split(&line_matrix(&pos), m);
+        let want: Vec<u8> = (0..m).map(|i| u8::from(i >= 4)).collect();
+        assert_eq!(side, want);
+    }
+
+    #[test]
+    fn full_nodes_do_not_grow_chains() {
+        // Default capacity over a line with a far point every 50: the
+        // tree stays valid, and few leaves hold a single point.
+        let pts: Vec<Vec<f64>> = (0..2000)
+            .map(|i| {
+                vec![
+                    if i % 50 == 0 {
+                        1e4 + i as f64
+                    } else {
+                        i as f64
+                    },
+                    0.0,
+                ]
+            })
+            .collect();
+        let t = tree(&pts, 32);
+        assert_eq!(t.check_invariants(), 2000);
+        let leaves: Vec<usize> = t
+            .nodes
+            .iter()
+            .filter_map(|n| match n {
+                Node::Leaf(v) => Some(v.len()),
+                Node::Internal(_) => None,
+            })
+            .collect();
+        let singles = leaves.iter().filter(|&&l| l == 1).count();
+        assert!(
+            singles * 10 < leaves.len(),
+            "{singles} of {} leaves",
+            leaves.len()
+        );
     }
 
     #[test]

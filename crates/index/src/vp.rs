@@ -429,29 +429,11 @@ impl<P: Send + Sync, M: Metric<P>> RangeIndex<P> for VpTree<P, M> {
             .collect()
     }
 
-    /// The root shell radius bounds half the diameter; double it, matching
-    /// the "derive the grid from the tree root" idea of Alg. 1.
+    /// The metric's [`Metric::diameter_bound`] over the indexed ids.
     fn diameter_estimate(&self) -> f64 {
-        match self.nodes.first() {
-            Some(VpNode::Split { max_dist, .. }) => 2.0 * max_dist,
-            Some(VpNode::Leaf { start, end }) => {
-                let ids = &self.ids[*start as usize..*end as usize];
-                let n = ids.len() as u64;
-                self.evals
-                    .fetch_add(n * n.saturating_sub(1) / 2, Ordering::Relaxed);
-                let mut best = 0.0f64;
-                for (i, &a) in ids.iter().enumerate() {
-                    for &b in &ids[i + 1..] {
-                        best = best.max(
-                            self.metric
-                                .distance(&self.points[a as usize], &self.points[b as usize]),
-                        );
-                    }
-                }
-                best
-            }
-            None => 0.0,
-        }
+        let (bound, evals) = self.metric.diameter_bound(&self.points, &self.ids);
+        self.evals.fetch_add(evals, Ordering::Relaxed);
+        bound
     }
 }
 
@@ -521,7 +503,7 @@ mod tests {
         let pts = line(1000);
         let t = VpTree::build(pts.clone(), (0..1000).collect(), Euclidean, 16);
         let est = t.diameter_estimate();
-        assert!((999.0 * 0.5..=999.0 * 2.5).contains(&est), "est={est}");
+        assert!((999.0..=999.0 * 2.5).contains(&est), "est={est}");
     }
 
     #[test]

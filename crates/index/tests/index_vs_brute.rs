@@ -241,3 +241,32 @@ fn negative_and_signed_zero_radii_match_brute() {
         }
     }
 }
+
+/// Every backend counts a point at exactly the radius, even where `r²`
+/// rounds below the point's squared distance: `(√3)²` is
+/// `2.9999999999999996`, and the Euclidean distance from `[0, 0, 0]` to
+/// `[1, 1, 1]` is `fl(√3)`, so the radius `√3` reaches both points.
+#[test]
+fn radius_whose_square_rounds_down_matches_brute() {
+    use mccatch_index::VpTree;
+    let pts = vec![vec![0.0, 0.0, 0.0], vec![1.0, 1.0, 1.0]];
+    let ids = vec![0, 1];
+    let r = 3f64.sqrt();
+    assert!(r * r < 3.0);
+    let brute = BruteForce::new(pts.clone(), ids.clone(), Euclidean);
+    let kd = KdTree::build(pts.clone(), ids.clone(), 1);
+    let vp = VpTree::build(pts.clone(), ids.clone(), Euclidean, 1);
+    let slim = SlimTree::build(pts.clone(), ids, Euclidean, 4);
+    let backends: [(&str, &dyn RangeIndex<Vec<f64>>); 4] =
+        [("brute", &brute), ("kd", &kd), ("vp", &vp), ("slim", &slim)];
+    let radii = [r.next_down(), r, r.next_up()];
+    for (name, index) in backends {
+        assert_eq!(index.range_count(&pts[0], r), 2, "{name}");
+        assert_eq!(index.range_count(&pts[0], r.next_down()), 1, "{name}");
+        let mut got = Vec::new();
+        index.range_ids(&pts[0], r, &mut got);
+        assert_eq!(got, [0, 1], "{name}");
+        let counts = index.multi_range_count(&pts[0], &radii, u32::MAX);
+        assert_eq!(counts.as_slice(), [1, 2, 2], "{name}");
+    }
+}

@@ -56,6 +56,14 @@ impl<P, M: Metric<P>> Metric<P> for CountingMetric<M> {
     fn transformation_cost(&self, data: &[P]) -> f64 {
         self.inner.transformation_cost(data)
     }
+
+    /// The inner metric's bound, so a wrapped metric fits the same radius
+    /// grid; its evaluations are added to the count.
+    fn diameter_bound(&self, points: &[P], ids: &[u32]) -> (f64, u64) {
+        let (bound, evals) = self.inner.diameter_bound(points, ids);
+        self.calls.fetch_add(evals, Ordering::Relaxed);
+        (bound, evals)
+    }
 }
 
 #[cfg(test)]

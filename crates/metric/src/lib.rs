@@ -65,6 +65,70 @@ pub trait Metric<P>: Send + Sync {
         let _ = data;
         1.0
     }
+
+    /// An upper bound on the diameter of `points[ids]` (the largest
+    /// distance between two of them), and the distance evaluations spent
+    /// on it. MCCATCH derives its whole radius grid from this one number
+    /// (Alg. 1 line 2), and the fit fills the grid's last column with `n`
+    /// without a join, so the bound must never fall below a distance this
+    /// metric computes between two of the points. It depends on the points
+    /// and the metric alone, not on the order of `ids` or on any index,
+    /// so every backend fits the same grid.
+    ///
+    /// The default is a farthest-point sweep of `4 (n - 1)` evaluations.
+    /// From the smallest id `x`, let `a` be the point farthest from `x`,
+    /// `b` the point farthest from `a`, and `c` the point minimising
+    /// `max(d(a, ·), d(b, ·))`; the bound is `2 · min(ecc(x), ecc(a),
+    /// ecc(c))`, where `ecc(p)` is the largest distance from `p`, so the
+    /// triangle inequality makes each term an upper bound. Every argmax
+    /// and argmin breaks ties by the smallest id. A metric with a cheaper
+    /// bound overrides it: [`Euclidean`] returns the bounding box's
+    /// diagonal for no evaluations.
+    fn diameter_bound(&self, points: &[P], ids: &[u32]) -> (f64, u64) {
+        sweep_bound(self, points, ids)
+    }
+}
+
+/// The farthest-point sweep of [`Metric::diameter_bound`]'s default.
+fn sweep_bound<P, M: Metric<P> + ?Sized>(metric: &M, points: &[P], ids: &[u32]) -> (f64, u64) {
+    let Some(&x) = ids.iter().min() else {
+        return (0.0, 0);
+    };
+    // Distances from `from` to `points[ids[k]]`, in `ids` order.
+    let sweep = |from: u32| -> Vec<f64> {
+        ids.iter()
+            .map(|&i| {
+                if i == from {
+                    0.0
+                } else {
+                    metric.distance(&points[from as usize], &points[i as usize])
+                }
+            })
+            .collect()
+    };
+    let ecc = |dist: &[f64]| dist.iter().copied().fold(0.0, f64::max);
+    let from_x = sweep(x);
+    let a = arg_best(ids, &from_x, |v, w| v > w);
+    let from_a = sweep(a);
+    let b = arg_best(ids, &from_a, |v, w| v > w);
+    let from_b = sweep(b);
+    let worst: Vec<f64> = from_a.iter().zip(&from_b).map(|(u, v)| u.max(*v)).collect();
+    let c = arg_best(ids, &worst, |v, w| v < w);
+    let bound = ecc(&from_x).min(ecc(&from_a)).min(ecc(&sweep(c)));
+    (2.0 * bound, 4 * (ids.len() as u64 - 1))
+}
+
+/// The id whose key (`key[k]` for `ids[k]`) beats every other by
+/// `better`, the smallest id among equal keys, so the choice does not
+/// depend on the order of `ids`. `ids` is not empty.
+fn arg_best(ids: &[u32], key: &[f64], better: fn(f64, f64) -> bool) -> u32 {
+    let mut at = 0;
+    for k in 1..ids.len() {
+        if better(key[k], key[at]) || (key[k] == key[at] && ids[k] < ids[at]) {
+            at = k;
+        }
+    }
+    ids[at]
 }
 
 /// Blanket impl so `&M` can be used wherever a metric is expected.
@@ -76,6 +140,10 @@ impl<P, M: Metric<P> + ?Sized> Metric<P> for &M {
 
     fn transformation_cost(&self, data: &[P]) -> f64 {
         (**self).transformation_cost(data)
+    }
+
+    fn diameter_bound(&self, points: &[P], ids: &[u32]) -> (f64, u64) {
+        (**self).diameter_bound(points, ids)
     }
 }
 
@@ -90,6 +158,10 @@ impl<P, M: Metric<P> + ?Sized> Metric<P> for std::sync::Arc<M> {
 
     fn transformation_cost(&self, data: &[P]) -> f64 {
         (**self).transformation_cost(data)
+    }
+
+    fn diameter_bound(&self, points: &[P], ids: &[u32]) -> (f64, u64) {
+        (**self).diameter_bound(points, ids)
     }
 }
 

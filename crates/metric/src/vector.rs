@@ -42,6 +42,26 @@ impl<P: AsRef<[f64]> + Sync> Metric<P> for Euclidean {
     fn transformation_cost(&self, data: &[P]) -> f64 {
         vector_transformation_cost(data)
     }
+
+    /// The diagonal of the points' bounding box, for no evaluations: the
+    /// squared per-dimension widths, summed in dimension order, square
+    /// rooted. Rounding is monotone, so no computed distance between two
+    /// of the points exceeds it.
+    fn diameter_bound(&self, points: &[P], ids: &[u32]) -> (f64, u64) {
+        let Some(&first) = ids.first() else {
+            return (0.0, 0);
+        };
+        let dim = points[first as usize].as_ref().len();
+        let mut bbox = vec![(f64::INFINITY, f64::NEG_INFINITY); dim];
+        for &i in ids {
+            for ((lo, hi), &x) in bbox.iter_mut().zip(points[i as usize].as_ref()) {
+                *lo = lo.min(x);
+                *hi = hi.max(x);
+            }
+        }
+        let sum: f64 = bbox.iter().map(|(lo, hi)| (hi - lo) * (hi - lo)).sum();
+        (sum.sqrt(), 0)
+    }
 }
 
 /// The Manhattan (`L_1`) distance.

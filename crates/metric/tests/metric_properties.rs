@@ -138,3 +138,136 @@ proptest! {
         prop_assert_eq!(d == 0.0, a == b);
     }
 }
+
+/// A metric with only `distance`: it gets the provided farthest-point
+/// sweep of `diameter_bound`, whatever the metric it wraps overrides.
+struct SweepOnly<M>(M);
+
+impl<P, M: Metric<P>> Metric<P> for SweepOnly<M> {
+    fn distance(&self, a: &P, b: &P) -> f64 {
+        self.0.distance(a, b)
+    }
+}
+
+/// The largest distance between two of `points`.
+fn exact_diameter<P, M: Metric<P>>(metric: &M, points: &[P]) -> f64 {
+    let mut best = 0.0f64;
+    for (i, a) in points.iter().enumerate() {
+        for b in &points[i + 1..] {
+            best = best.max(metric.distance(a, b));
+        }
+    }
+    best
+}
+
+/// `0..n` in an order scrambled by `seed` (Fisher–Yates on an LCG).
+fn scrambled(n: usize, seed: u64) -> Vec<u32> {
+    let mut ids: Vec<u32> = (0..n as u32).collect();
+    let mut s = seed | 1;
+    for i in (1..n).rev() {
+        s = s
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        ids.swap(i, (s >> 33) as usize % (i + 1));
+    }
+    ids
+}
+
+/// `diameter_bound` covers every pair, and neither the bound nor its
+/// evaluations depend on the order of `ids`; the sweep spends `4 (n - 1)`
+/// evaluations and stays within twice the diameter.
+fn check_bound<P, M: Metric<P>>(metric: &M, points: &[P], seed: u64) -> Result<(), TestCaseError> {
+    let n = points.len();
+    let ids: Vec<u32> = (0..n as u32).collect();
+    let (bound, evals) = metric.diameter_bound(points, &ids);
+    let exact = exact_diameter(metric, points);
+    prop_assert!(
+        bound >= exact,
+        "bound {} below the diameter {}",
+        bound,
+        exact
+    );
+    let (again, evals_again) = metric.diameter_bound(points, &scrambled(n, seed));
+    prop_assert_eq!(bound.to_bits(), again.to_bits());
+    prop_assert_eq!(evals, evals_again);
+    let (sweep, sweep_evals) = SweepOnly(metric).diameter_bound(points, &scrambled(n, seed));
+    prop_assert!(
+        sweep >= exact && sweep <= 2.0 * exact,
+        "sweep {} for {}",
+        sweep,
+        exact
+    );
+    prop_assert_eq!(sweep_evals, 4 * (n as u64).saturating_sub(1));
+    Ok(())
+}
+
+/// Points of an integer lattice in 1 to 3 dimensions, duplicates likely.
+fn lattice() -> impl Strategy<Value = Vec<Vec<f64>>> {
+    (
+        1usize..4,
+        prop::collection::vec(prop::collection::vec(0u32..4, 3), 1..40),
+    )
+        .prop_map(|(dim, pts)| {
+            pts.into_iter()
+                .map(|p| p[..dim].iter().map(|&x| x as f64).collect())
+                .collect()
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn diameter_bound_covers_floats(pts in prop::collection::vec(vec3(), 1..40), seed in 0u64..1_000_000) {
+        check_bound(&Euclidean, &pts, seed)?;
+        check_bound(&Manhattan, &pts, seed)?;
+        check_bound(&Chebyshev, &pts, seed)?;
+    }
+
+    #[test]
+    fn diameter_bound_covers_lattices(pts in lattice(), seed in 0u64..1_000_000) {
+        check_bound(&Euclidean, &pts, seed)?;
+        check_bound(&Manhattan, &pts, seed)?;
+    }
+
+    #[test]
+    fn diameter_bound_covers_strings(words in prop::collection::vec("[a-c]{0,5}", 1..40), seed in 0u64..1_000_000) {
+        check_bound(&Levenshtein, &words, seed)?;
+    }
+
+    #[test]
+    fn diameter_bound_covers_trees(trees in prop::collection::vec(tree(), 1..12), seed in 0u64..1_000_000) {
+        check_bound(&TreeEditDistance, &trees, seed)?;
+    }
+}
+
+/// The Euclidean bound is the bounding box's diagonal, for no evaluations,
+/// and a `CountingMetric` forwards it and counts what its metric spent.
+#[test]
+fn euclidean_bound_is_the_box_diagonal_and_wrappers_forward_it() {
+    use mccatch_metric::CountingMetric;
+    let pts = vec![
+        vec![0.0, 0.0],
+        vec![3.0, 0.0],
+        vec![0.0, 4.0],
+        vec![1.0, 1.0],
+    ];
+    let ids = [3, 1, 0, 2];
+    assert_eq!(Euclidean.diameter_bound(&pts, &ids), (5.0, 0));
+    assert_eq!(Euclidean.diameter_bound(&pts, &[]), (0.0, 0));
+    assert_eq!(Euclidean.diameter_bound(&pts, &[2]), (0.0, 0));
+    let counted = CountingMetric::new(Euclidean);
+    assert_eq!(counted.diameter_bound(&pts, &ids), (5.0, 0));
+    assert_eq!(counted.calls(), 0);
+    let counted = CountingMetric::new(SweepOnly(Euclidean));
+    let (bound, evals) = counted.diameter_bound(&pts, &ids);
+    assert_eq!(
+        (bound, evals),
+        SweepOnly(Euclidean).diameter_bound(&pts, &ids)
+    );
+    assert_eq!((evals, counted.calls()), (12, 12));
+    assert_eq!(
+        std::sync::Arc::new(Euclidean).diameter_bound(&pts, &ids),
+        (5.0, 0)
+    );
+}

@@ -55,9 +55,10 @@ pub enum PersistError {
         got: u32,
     },
     /// The snapshot was fitted with a different index backend than the
-    /// one supplied for the rebuild. The diameter estimate — and hence
-    /// the radius grid and every score — depends on the tree structure,
-    /// so rebuilding with another backend would silently change results.
+    /// one supplied for the rebuild. Every backend gives the same answers,
+    /// but the verified load compares the rebuilt fit's distance
+    /// evaluations, which count the tree's work, so another backend would
+    /// be refused on them anyway.
     BackendMismatch {
         /// The supplied builder's `backend_name()`.
         expected: String,

@@ -341,12 +341,14 @@ fn read_raw<P: PersistPoint, R: Read>(r: R) -> Result<RawSnapshot<P>, PersistErr
 /// that was saved.
 ///
 /// The `builder` must be of the same index family the snapshot was
-/// fitted with ([`PersistError::BackendMismatch`] otherwise); its
+/// fitted with ([`PersistError::BackendMismatch`] otherwise), and its
 /// tuning knobs (leaf capacities etc.) must also match for the
-/// verification to pass, since tree shape determines the diameter
-/// estimate. The metric is not recorded in the snapshot — supplying a
-/// different metric than at save time is caught by the same
-/// verification whenever it changes any distance.
+/// verification to pass. The answers do not depend on the tree (the
+/// diameter estimate comes from the points and the metric), but the
+/// witness's [`ModelStats::distance_evals`] counts the tree's work. The
+/// metric is not recorded in the snapshot — supplying a different metric
+/// than at save time is caught by the same verification whenever it
+/// changes any distance.
 pub fn load_model<P, M, B, R>(
     r: R,
     metric: M,

@@ -99,10 +99,9 @@ proptest! {
         assert_frozen_stream_matches_batch(BruteForceBuilder, &evs, cap)?;
     }
 
-    // (No cross-backend score equality test on purpose: the diameter
-    // estimate — and with it the radius grid — is derived from the index
-    // structure, so kd and Slim-tree fits legitimately quantize to
-    // different grids. The contract is stream == batch *per backend*.)
+    // (Every backend gives the same batch fit bit for bit, which
+    // `mccatch-core`'s `backend_invariance` tests; the contract here is
+    // stream == batch on each backend.)
 }
 
 /// Scoring while a swap lands must never observe a torn model: the

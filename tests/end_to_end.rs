@@ -133,3 +133,47 @@ fn full_output_is_well_formed() {
         assert!(w[0].score >= w[1].score);
     }
 }
+
+/// The diameter estimate bounds every distance from above on Fig. 7's
+/// Uniform-20d at 4,000 points, through the Euclidean bound and through
+/// the metric-agnostic sweep alike. A lower bound (272.1 against the exact
+/// 296.3 at seed 1, as a sweep that kept only the largest distance it saw
+/// once gave) leaves the grid's last column, which the fit fills with `n`
+/// without a join, claiming neighbors that some rows do not have.
+#[test]
+fn diameter_estimate_is_an_upper_bound_on_u20d() {
+    use mccatch::index::{BruteForce, RangeIndex};
+    use mccatch::metrics::{Euclidean, Metric};
+
+    /// Euclidean without its bounding-box override: the default sweep.
+    struct SweepOnly;
+    impl Metric<Vec<f64>> for SweepOnly {
+        fn distance(&self, a: &Vec<f64>, b: &Vec<f64>) -> f64 {
+            Euclidean.distance(a, b)
+        }
+    }
+
+    let pts = mccatch::data::uniform(4_000, 20, 1);
+    let ids: Vec<u32> = (0..pts.len() as u32).collect();
+    // All pairs, on a flat copy: 8M distances, kept cheap for debug builds.
+    let flat = pts.concat();
+    let mut exact = 0.0f64;
+    for (i, a) in flat.chunks_exact(20).enumerate() {
+        for b in flat[(i + 1) * 20..].chunks_exact(20) {
+            let mut d2 = 0.0;
+            for k in 0..20 {
+                let t = a[k] - b[k];
+                d2 += t * t;
+            }
+            exact = exact.max(d2);
+        }
+    }
+    let exact = exact.sqrt();
+    let box_bound = BruteForce::new(pts.clone(), ids.clone(), Euclidean).diameter_estimate();
+    let sweep = BruteForce::new(pts, ids, SweepOnly).diameter_estimate();
+    assert!(box_bound >= exact, "box {box_bound} < exact {exact}");
+    assert!(
+        sweep >= exact && sweep <= 2.0 * exact,
+        "sweep {sweep} for exact {exact}"
+    );
+}
