@@ -176,6 +176,7 @@ impl McCatch {
         let tree = index_builder.build_all(Arc::clone(&points), Arc::clone(&metric));
         let diameter = tree.diameter_estimate();
         let grid = RadiusGrid::new(diameter, resolved.a);
+        let codes = ScoreTable::new(grid.radii());
         let t_build = span.finish();
         let d_build = tree.distance_stats().evals;
         Ok(Fitted {
@@ -185,6 +186,7 @@ impl McCatch {
             resolved,
             tree,
             grid,
+            codes,
             t_build,
             d_build,
             oracle: OnceLock::new(),
@@ -252,6 +254,8 @@ where
     resolved: Resolved,
     tree: B::Index,
     grid: RadiusGrid,
+    /// Every score the serving path can give, by grid position.
+    codes: ScoreTable,
     t_build: Duration,
     /// Distance evaluations Step I spent (build + diameter estimate).
     d_build: u64,
@@ -416,26 +420,19 @@ where
         if self.is_degenerate() {
             return vec![0.0; queries.len()];
         }
-        let radii = self.grid.radii();
-        let r1 = radii[0];
-        let reference: &dyn RangeIndex<P> = match self.inlier_tree() {
-            // All reference points are outliers (tiny pathological fits):
-            // fall back to the full tree so scores stay meaningful.
-            None => &self.tree,
-            Some(t) => t,
-        };
+        let reference = self.serving_index();
         let mut out = vec![0.0; queries.len()];
         if queries.len() <= PROBE_QUERIES {
-            score_split(reference, radii, r1, queries, &mut out, 1);
+            score_split(reference, &self.codes, queries, &mut out, 1);
             return out;
         }
         let (probe, rest) = queries.split_at(PROBE_QUERIES);
         let (probe_out, rest_out) = out.split_at_mut(PROBE_QUERIES);
         let start = Instant::now();
-        score_split(reference, radii, r1, probe, probe_out, 1);
+        score_split(reference, &self.codes, probe, probe_out, 1);
         let per_query = start.elapsed() / PROBE_QUERIES as u32;
         let threads = scoring_threads(rest.len(), per_query, self.resolved.threads);
-        score_split(reference, radii, r1, rest, rest_out, threads);
+        score_split(reference, &self.codes, rest, rest_out, threads);
         out
     }
 
@@ -448,12 +445,7 @@ where
         if self.is_degenerate() {
             return 0.0;
         }
-        let radii = self.grid.radii();
-        let reference: &dyn RangeIndex<P> = match self.inlier_tree() {
-            None => &self.tree,
-            Some(t) => t,
-        };
-        score_query(reference, radii, radii[0], query)
+        score_query(self.serving_index(), &self.codes, query)
     }
 
     /// The serving-path score at the fitted MDL cutoff distance `d`:
@@ -470,8 +462,7 @@ where
         if !d.is_finite() {
             return f64::INFINITY;
         }
-        let radii = self.grid.radii();
-        universal_code_length_f64(1.0 + quantize_down(d, radii) / radii[0])
+        self.codes.score(d)
     }
 
     /// The `k` highest-ranked (most strange) microclusters; `k = 0` means
@@ -510,13 +501,22 @@ where
         }
     }
 
-    /// Live distance-evaluation totals of the fitted reference tree:
-    /// everything Step I and the counting stage spent, plus any serving
-    /// queries answered from the main tree since. For a number that is
-    /// stable per fit (and comparable across replicas), use
-    /// [`ModelStats::distance_evals`] from [`Fitted::stats`] instead.
+    /// Live distance-evaluation totals of the fit and its serving: what
+    /// Step I and the counting stage spent on the reference tree, plus
+    /// the evaluations of the serving queries since, on whichever tree
+    /// answered them. The inlier tree that answers them is counted once it
+    /// exists, its build included; reading this never builds it. For a
+    /// number that is stable per fit (and comparable across replicas),
+    /// use [`ModelStats::distance_evals`] from [`Fitted::stats`] instead.
     pub fn distance_stats(&self) -> DistanceStats {
-        self.tree.distance_stats()
+        let serving = self
+            .inlier_tree
+            .get()
+            .and_then(Option::as_ref)
+            .map_or(0, |t| t.distance_stats().evals);
+        DistanceStats {
+            evals: self.tree.distance_stats().evals + serving,
+        }
     }
 
     /// Everything needed to persist this fit and re-derive it exactly:
@@ -672,6 +672,16 @@ where
         })
     }
 
+    /// The index the serving path queries: the inlier tree, or the full
+    /// tree when every reference point is an outlier (tiny pathological
+    /// fits), so that scores stay meaningful.
+    fn serving_index(&self) -> &dyn RangeIndex<P> {
+        match self.inlier_tree() {
+            None => &self.tree,
+            Some(t) => t,
+        }
+    }
+
     /// The index over the reference inliers, built lazily for the serving
     /// path; `None` when every reference point is an outlier.
     fn inlier_tree(&self) -> Option<&B::Index> {
@@ -765,15 +775,14 @@ fn scoring_threads(rest: usize, per_query: Duration, threads: usize) -> usize {
 /// `out`, so the result does not depend on `threads`.
 fn score_split<P: Sync>(
     reference: &dyn RangeIndex<P>,
-    radii: &[f64],
-    r1: f64,
+    codes: &ScoreTable,
     queries: &[P],
     out: &mut [f64],
     threads: usize,
 ) {
     let score = |queries: &[P], out: &mut [f64]| {
         for (slot, q) in out.iter_mut().zip(queries) {
-            *slot = score_query(reference, radii, r1, q);
+            *slot = score_query(reference, codes, q);
         }
     };
     let chunk = queries.len().div_ceil(threads.max(1));
@@ -790,13 +799,58 @@ fn score_split<P: Sync>(
     });
 }
 
-/// Scores one serving-path query: nearest reference neighbor, quantized
-/// down to the grid, coded as `⟨1 + g/r₁⟩`. Free function so the parallel
-/// chunks of [`Fitted::score_points`] can share it without capturing.
-fn score_query<P>(reference: &dyn RangeIndex<P>, radii: &[f64], r1: f64, q: &P) -> f64 {
-    let exact = reference.nearest(q).map_or(f64::INFINITY, |p| p.dist);
-    let g = quantize_down(exact, radii);
-    universal_code_length_f64(1.0 + g / r1)
+/// Scores one serving-path query: its nearest reference neighbor's
+/// distance, looked up in the fit's [`ScoreTable`]. Free function so the
+/// parallel chunks of [`Fitted::score_points`] can share it without
+/// capturing.
+fn score_query<P>(reference: &dyn RangeIndex<P>, codes: &ScoreTable, q: &P) -> f64 {
+    codes.score(reference.nearest(q).map_or(f64::INFINITY, |n| n.dist))
+}
+
+/// The serving score `⟨1 + g/r₁⟩` (Alg. 4 lines 21–24) of every value
+/// the grid quantization [`quantize_down`] can give `g`: `0, r₁, …, r_a`.
+/// A query's score is then a lookup by its nearest-inlier distance
+/// instead of a `log₂` chain, computed by the same expression from the
+/// same `g`, so the two agree bit for bit.
+#[derive(Debug, Clone)]
+struct ScoreTable {
+    radii: Vec<f64>,
+    /// `codes[k]` codes `g = radii[k - 1]` (`0` for `k = 0`), the
+    /// quantization of a distance whose first radius at or above it is
+    /// `radii[k]`; `codes[a]` codes `g = r_a`, for a distance above every
+    /// radius or NaN.
+    codes: Vec<f64>,
+}
+
+impl ScoreTable {
+    fn new(radii: &[f64]) -> Self {
+        let codes = std::iter::once(0.0)
+            .chain(radii.iter().copied())
+            .map(|g| universal_code_length_f64(1.0 + g / radii[0]))
+            .collect();
+        Self {
+            radii: radii.to_vec(),
+            codes,
+        }
+    }
+
+    /// `⟨1 + quantize_down(dist)/r₁⟩`, by the [`grid_slot`] of `dist`.
+    #[inline]
+    fn score(&self, dist: f64) -> f64 {
+        self.codes[grid_slot(dist, &self.radii)]
+    }
+}
+
+/// Where an exact nearest-inlier distance falls on the radius grid: the
+/// index of the first radius at or above it, or `a` when there is none
+/// (a distance past `r_a`, or NaN). [`quantize_down`] maps slot `k` to
+/// `r_k` (`r_0 = 0`), and [`ScoreTable`] to that radius's score.
+#[inline]
+fn grid_slot(exact: f64, radii: &[f64]) -> usize {
+    radii
+        .iter()
+        .position(|&r| r >= exact)
+        .unwrap_or(radii.len())
 }
 
 /// Quantizes an exact nearest-inlier distance down to the radius grid the
@@ -805,19 +859,16 @@ fn score_query<P>(reference: &dyn RangeIndex<P>, radii: &[f64], r1: f64, q: &P) 
 /// `r_a` when even the largest radius finds no inlier). Shared with the
 /// default `Model::score_cutoff` impl in [`crate::model`].
 pub(crate) fn quantize_down(exact: f64, radii: &[f64]) -> f64 {
-    let a = radii.len();
-    for (k, &r) in radii.iter().enumerate() {
-        if r >= exact {
-            return if k == 0 { 0.0 } else { radii[k - 1] };
-        }
+    match grid_slot(exact, radii) {
+        0 => 0.0,
+        k => radii[k - 1],
     }
-    radii[a - 1]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mccatch_index::{BruteForceBuilder, SlimTreeBuilder};
+    use mccatch_index::{BruteForceBuilder, KdTreeBuilder, SlimTreeBuilder};
     use mccatch_metric::{Euclidean, Levenshtein};
 
     fn blob_with_strays() -> Vec<Vec<f64>> {
@@ -1085,6 +1136,7 @@ mod tests {
         assert_eq!(quantize_down(4.0, &radii), 2.0); // inclusive counts
         assert_eq!(quantize_down(5.0, &radii), 4.0);
         assert_eq!(quantize_down(100.0, &radii), 8.0); // beyond the grid
+        assert_eq!(quantize_down(f64::NAN, &radii), 8.0); // no radius is >= NaN
     }
 
     #[test]
@@ -1172,32 +1224,106 @@ mod tests {
         assert!(fitted.distance_stats().evals >= build1 + count1);
     }
 
-    #[test]
-    fn score_points_parallel_matches_serial() {
-        // Same data, different splits: bit-identical batch scores, from
-        // score_points at 1 and 8 fit threads and from the batch split
-        // into 1, 2, 3 and 8 chunks (2 to 8 spawned threads).
-        let pts = blob_with_strays();
-        let queries: Vec<Vec<f64>> = (0..1001)
+    /// 1,001 queries over and around [`blob_with_strays`].
+    fn grid_queries() -> Vec<Vec<f64>> {
+        (0..1001)
             .map(|i| vec![(i % 80) as f64 * 0.35 - 5.0, (i / 80) as f64 * 0.5 - 3.0])
-            .collect();
+            .collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Same data, different splits: bit-identical batch scores, from
+    /// score_points at 1 and 8 fit threads and from the batch split into
+    /// 1, 2, 3 and 8 chunks (2 to 8 spawned threads), each equal to
+    /// score_one query by query.
+    fn assert_splits_match_score_one<B>(builder: B)
+    where
+        B: IndexBuilder<Vec<f64>, Euclidean> + Clone,
+    {
+        let pts = blob_with_strays();
+        let queries = grid_queries();
         let fit = |threads: usize| {
             McCatch::builder()
                 .threads(threads)
                 .build()
                 .unwrap()
-                .fit(pts.clone(), Euclidean, SlimTreeBuilder::default())
+                .fit(pts.clone(), Euclidean, builder.clone())
                 .unwrap()
         };
         let (one, eight) = (fit(1), fit(8));
-        let serial = one.score_points(&queries);
-        assert_eq!(serial, eight.score_points(&queries));
-        let radii = eight.grid.radii();
-        let reference = eight.inlier_tree().expect("the blob has inliers");
+        let single: Vec<f64> = queries.iter().map(|q| one.score_one(q)).collect();
+        assert_eq!(bits(&one.score_points(&queries)), bits(&single));
+        assert_eq!(bits(&eight.score_points(&queries)), bits(&single));
+        let reference = eight.serving_index();
         for threads in [1, 2, 3, 8] {
             let mut out = vec![f64::NAN; queries.len()];
-            score_split(reference, radii, radii[0], &queries, &mut out, threads);
-            assert_eq!(serial, out, "{threads} threads");
+            score_split(reference, &eight.codes, &queries, &mut out, threads);
+            assert_eq!(bits(&out), bits(&single), "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn score_points_parallel_matches_serial() {
+        assert_splits_match_score_one(KdTreeBuilder::default());
+        assert_splits_match_score_one(SlimTreeBuilder::default());
+        assert_splits_match_score_one(BruteForceBuilder);
+    }
+
+    /// A batch charges the serving evaluations its queries would one at a
+    /// time, `distance_stats` counts them without building the inlier
+    /// tree, and the per-fit `ModelStats` stay put.
+    fn assert_serving_evals_are_counted<B: IndexBuilder<Vec<f64>, Euclidean>>(builder: B) {
+        let fitted = McCatch::builder()
+            .build()
+            .unwrap()
+            .fit(blob_with_strays(), Euclidean, builder)
+            .unwrap();
+        let stats = fitted.stats();
+        let fit_evals = fitted.distance_stats().evals;
+        assert!(fitted.inlier_tree.get().is_none(), "a read built the tree");
+        let queries = grid_queries();
+        let _ = fitted.score_one(&queries[0]);
+        let e0 = fitted.distance_stats().evals;
+        assert!(e0 > fit_evals, "the first query is counted");
+        let _ = fitted.score_points(&queries);
+        let e1 = fitted.distance_stats().evals;
+        for q in &queries {
+            let _ = fitted.score_one(q);
+        }
+        let e2 = fitted.distance_stats().evals;
+        assert!(e1 - e0 >= queries.len() as u64, "{e0} -> {e1}");
+        assert_eq!(e1 - e0, e2 - e1, "batch and single queries differ");
+        assert_eq!(fitted.stats(), stats);
+    }
+
+    #[test]
+    fn serving_evals_are_counted_once_per_query() {
+        assert_serving_evals_are_counted(KdTreeBuilder::default());
+        assert_serving_evals_are_counted(SlimTreeBuilder::default());
+        assert_serving_evals_are_counted(BruteForceBuilder);
+    }
+
+    #[test]
+    fn score_table_codes_the_quantized_distance() {
+        for (diameter, a) in [(8.0, 4), (3.7, 15), (1234.5678, 2), (1e-300, 64)] {
+            let grid = RadiusGrid::new(diameter, a);
+            let radii = grid.radii();
+            let table = ScoreTable::new(radii);
+            let want = |d: f64| universal_code_length_f64(1.0 + quantize_down(d, radii) / radii[0]);
+            let mut probes = vec![0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+            for &r in radii {
+                probes.extend([r.next_down(), r, r.next_up()]);
+            }
+            for d in probes {
+                assert_eq!(
+                    table.score(d).to_bits(),
+                    want(d).to_bits(),
+                    "{d} on {radii:?}"
+                );
+            }
         }
     }
 

@@ -125,15 +125,16 @@ pub trait Model<P>: Send + Sync {
         universal_code_length_f64(1.0 + g / radii[0])
     }
 
-    /// Live distance-evaluation totals of the model's reference index:
-    /// the fit cost **plus** every serving query answered from the main
-    /// tree since — the number a `/metrics` endpoint exposes so serving
-    /// load is observable per backend. Unlike
-    /// [`ModelStats::distance_evals`] (stable per fit), this value grows
-    /// with traffic.
+    /// Live distance-evaluation totals of the model's indexes: the fit
+    /// cost **plus** every serving query answered since — the number a
+    /// `/metrics` endpoint exposes so serving load is observable per
+    /// backend. Unlike [`ModelStats::distance_evals`] (stable per fit),
+    /// this value grows with traffic.
     ///
     /// The default answers from [`stats`](Self::stats) (fit cost only);
-    /// [`crate::Fitted`] overrides it with the live index counter.
+    /// [`crate::Fitted`] overrides it with the live counters of its
+    /// reference tree and of the inlier tree that answers serving
+    /// queries.
     fn distance_stats(&self) -> DistanceStats {
         DistanceStats {
             evals: self.stats().distance_evals,

@@ -498,15 +498,12 @@ fn neighbor(&(d2, id): &(f64, u32)) -> Neighbor {
 }
 
 /// Distance from coordinate `x` to the interval `[lo, hi]` (0 inside).
+/// Branch-free: at most one term is positive, and a zero term adds
+/// nothing, so this is `lo − x` below the interval, `x − hi` above it and
+/// 0 inside, the gap [`box_bounds2`] takes for a one-point box.
 #[inline]
 fn near_gap(x: f64, lo: f64, hi: f64) -> f64 {
-    if x < lo {
-        lo - x
-    } else if x > hi {
-        x - hi
-    } else {
-        0.0
-    }
+    (lo - x).max(0.0) + (x - hi).max(0.0)
 }
 
 /// Distance from coordinate `x` to the farther end of `[lo, hi]`.
@@ -924,7 +921,36 @@ mod tests {
         proptest::collection::vec(0.0..1.0f64, 4)
     }
 
+    /// A special value (zeros, infinities, NaN) or any bit pattern.
+    fn float() -> impl proptest::strategy::Strategy<Value = f64> {
+        use proptest::strategy::Strategy;
+        (0usize..10, 0u64..u64::MAX).prop_map(|(pick, bits)| {
+            const SPECIAL: [f64; 6] = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 1.0];
+            SPECIAL.get(pick).copied().unwrap_or(f64::from_bits(bits))
+        })
+    }
+
     proptest::proptest! {
+        /// The branch-free gap is the branching one bit for bit, on every
+        /// interval a box can hold: `lo <= hi`, NaN ends, and the empty
+        /// `[∞, −∞]` of a dimension whose coordinates are all NaN.
+        #[test]
+        fn near_gap_is_the_branching_gap(x in float(), a in float(), b in float(), empty in 0u8..8) {
+            let (lo, hi) = match (empty, a <= b) {
+                (0, _) => (f64::INFINITY, f64::NEG_INFINITY),
+                (_, true) => (a, b),
+                (_, false) => (b, a),
+            };
+            let branching = if x < lo {
+                lo - x
+            } else if x > hi {
+                x - hi
+            } else {
+                0.0
+            };
+            proptest::prop_assert_eq!(near_gap(x, lo, hi).to_bits(), branching.to_bits());
+        }
+
         #[test]
         fn box_bounds_of_one_point_are_its_point_bounds(
             q in coords(),

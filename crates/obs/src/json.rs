@@ -1,7 +1,10 @@
 //! The workspace's one JSON reader: strict RFC 8259, std-only. NDJSON
 //! request lines, replay-log lines, tenant manifests and the trace-export
 //! tests all go through [`parse`], so a line one decoder accepts is never
-//! refused by another.
+//! refused by another. A vector request line is first offered to
+//! [`number_array`], which reads an array of finite numbers by the same
+//! rules without building a tree and declines everything else to
+//! [`parse`].
 //!
 //! Strict means: no `+1`, `.5`, `5.`, `01`, `inf` or `NaN`; every escape
 //! decoded, surrogate pairs included; raw control characters, duplicate
@@ -102,6 +105,51 @@ pub fn parse(text: &str) -> Result<Json<'_>, String> {
     Ok(value)
 }
 
+/// Reads `text` as one non-empty JSON array of finite numbers, with no
+/// [`Json`] tree: the serving path's reader for a vector line. It walks
+/// the text once with [`parse`]'s own whitespace and number rules, and
+/// reads each lexeme as [`Json::as_f64`] does, so every vector it returns
+/// holds exactly the bits `parse(text)`'s elements give.
+///
+/// It never reports an error. On anything else (an element that is not a
+/// finite number, `[]`, nesting, trailing bytes, or text outside the
+/// grammar) it returns `None`, and the caller falls back to [`parse`],
+/// which stays the one place a violation is described.
+///
+/// ```
+/// use mccatch_obs::json::number_array;
+///
+/// assert_eq!(number_array(" [0.5, -2e3] "), Some(vec![0.5, -2000.0]));
+/// for declined in ["[]", "[1e999]", "[1, true]", "[1] x", "1, 2"] {
+///     assert_eq!(number_array(declined), None);
+/// }
+/// ```
+pub fn number_array(text: &str) -> Option<Vec<f64>> {
+    let mut r = Reader { text, pos: 0 };
+    r.skip_ws();
+    if !r.eat(b'[') {
+        return None;
+    }
+    let mut out = Vec::new();
+    loop {
+        r.skip_ws();
+        let v: f64 = r.number().ok()?.parse().ok()?;
+        if !v.is_finite() {
+            return None;
+        }
+        out.push(v);
+        r.skip_ws();
+        if r.eat(b']') {
+            break;
+        }
+        if !r.eat(b',') {
+            return None;
+        }
+    }
+    r.skip_ws();
+    (r.pos == text.len()).then_some(out)
+}
+
 struct Reader<'a> {
     text: &'a str,
     pos: usize,
@@ -138,7 +186,7 @@ impl<'a> Reader<'a> {
             Some(b'[') => self.array(depth + 1),
             Some(b'{') => self.object(depth + 1),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b'-' | b'0'..=b'9') => self.number().map(Json::Num),
             _ => {
                 for (word, value) in [
                     ("true", Json::Bool(true)),
@@ -209,7 +257,8 @@ impl<'a> Reader<'a> {
         Ok(Json::Obj(members))
     }
 
-    fn number(&mut self) -> Result<Json<'a>, String> {
+    /// One number's lexeme, validated.
+    fn number(&mut self) -> Result<&'a str, String> {
         let start = self.pos;
         self.eat(b'-');
         if !self.eat(b'0') && !self.digits() {
@@ -226,7 +275,7 @@ impl<'a> Reader<'a> {
                 return Err(self.error("expected an exponent digit"));
             }
         }
-        Ok(Json::Num(&self.text[start..self.pos]))
+        Ok(&self.text[start..self.pos])
     }
 
     /// Consumes a run of ASCII digits; false when there was none.

@@ -89,6 +89,11 @@ stages! {
     Handle = "handle",
     /// `score_batch` — scoring one NDJSON `/score` body.
     ScoreBatch = "score_batch",
+    /// `score_parse` — parsing the lines of one `/score` body into
+    /// points.
+    ScoreParse = "score_parse",
+    /// `score_render` — rendering one `/score` body's response lines.
+    ScoreRender = "score_render",
     /// `ingest_batch` — ingesting one non-empty NDJSON `/ingest` body.
     IngestBatch = "ingest_batch",
 }

@@ -499,7 +499,7 @@ pub(crate) fn render_prometheus(
     metric(
         "mccatch_index_distance_evals_total",
         "counter",
-        "Live distance evaluations of the served reference tree (fit plus serving queries), by index backend.",
+        "Live distance evaluations of the served models' trees (fit plus serving queries), by index backend.",
         &evals,
     );
 

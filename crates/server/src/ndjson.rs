@@ -8,7 +8,9 @@
 //! line is read by the workspace's one strict reader,
 //! [`mccatch_obs::json`], and decoded by [`PersistPoint::from_json`] —
 //! the grammar and decoder the replay log uses, so a point the wire
-//! accepts is a point the log can replay.
+//! accepts is a point the log can replay. A vector line that is an
+//! array of finite numbers skips the tree: [`json::number_array`] reads
+//! it by the same grammar into the same bits.
 
 use mccatch_obs::json;
 use mccatch_persist::PersistPoint;
@@ -59,7 +61,13 @@ pub fn write_scored_event_json(out: &mut String, e: &ScoredEvent) {
 pub fn parse_vector_line(line: &str) -> Result<Vec<f64>, String> {
     let line = line.trim();
     let coords = if line.starts_with('[') {
-        Vec::<f64>::from_json(&json::parse(line)?)?
+        // The tree-free reader accepts only an array of finite numbers.
+        // Every other line takes the tree path, which exists here only to
+        // word the per-line error: one grammar, one set of messages.
+        match json::number_array(line) {
+            Some(coords) => coords,
+            None => Vec::<f64>::from_json(&json::parse(line)?)?,
+        }
     } else {
         line.split(|c: char| c == ',' || c.is_whitespace() || c == ';')
             .filter(|t| !t.is_empty())
@@ -156,6 +164,123 @@ pub(crate) fn body_lines(body: &[u8]) -> impl Iterator<Item = (usize, &[u8])> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `parse_vector_line` as it read every line before the tree-free
+    /// reader: the oracle of the property test below.
+    fn tree_path(line: &str) -> Result<Vec<f64>, String> {
+        let line = line.trim();
+        let coords = if line.starts_with('[') {
+            Vec::<f64>::from_json(&json::parse(line)?)?
+        } else {
+            line.split(|c: char| c == ',' || c.is_whitespace() || c == ';')
+                .filter(|t| !t.is_empty())
+                .map(|t| {
+                    json::parse(t)
+                        .ok()
+                        .and_then(|v| v.as_f64())
+                        .ok_or_else(|| format!("not a finite JSON number: {t:?}"))
+                })
+                .collect::<Result<_, _>>()?
+        };
+        if coords.is_empty() {
+            return Err("empty vector".to_owned());
+        }
+        Ok(coords)
+    }
+
+    fn bits(v: Vec<f64>) -> Vec<u64> {
+        v.into_iter().map(f64::to_bits).collect()
+    }
+
+    /// JSON's own syntax bytes, which mutations draw from so that a
+    /// mutated line stays near the grammar.
+    const SYNTAX: &[u8] = b"[]{}\",:\\/u0123456789.eE+-tfnrl ";
+
+    /// Whitespace, JSON's and otherwise: `str::trim` strips the last two,
+    /// the JSON grammar does not.
+    const SPACE: [&str; 8] = ["", " ", "  ", "\t", "\r", "\n", "\u{b}", "\u{a0}"];
+
+    /// A vector line: an array of numbers in shortest, exponent and
+    /// 17-digit forms, `-0`, small integers and the odd non-number, with
+    /// odd whitespace, then up to three draws of a byte mutation (replace,
+    /// insert, delete or truncate, each one draw in twelve).
+    fn vector_line() -> impl Strategy<Value = String> {
+        let element = (0u64..u64::MAX, 0usize..7, 0usize..2 * SPACE.len());
+        let mutation = (0usize..12, 0usize..256, 0usize..SYNTAX.len());
+        (
+            prop::collection::vec(element, 0..6),
+            0usize..SPACE.len(),
+            prop::collection::vec(mutation, 0..4),
+        )
+            .prop_map(|(elements, pad, mutations)| {
+                let items: Vec<String> = elements
+                    .iter()
+                    .map(|&(bits, form, space)| {
+                        let v = f64::from_bits(bits);
+                        let text = match form {
+                            0 => format!("{v}"),
+                            1 => format!("{v:e}"),
+                            2 => format!("{v:.16e}"),
+                            3 => "-0".to_owned(),
+                            4 => format!("{}", bits as i64 % 1000),
+                            5 => format!("{}", (bits % 1000) as f64 / 8.0),
+                            _ => ["1e999", "true", "null", "[1]", "\"1\"", "+1", ".5", "01"]
+                                [bits as usize % 8]
+                                .to_owned(),
+                        };
+                        // JSON's whitespace, but one draw in eight not.
+                        let after = match space {
+                            14.. => SPACE[space - 8],
+                            _ => SPACE[space / 2 % 6],
+                        };
+                        format!("{}{text}{after}", SPACE[space % 6])
+                    })
+                    .collect();
+                let mut line = format!("{0}[{1}]{0}", SPACE[pad], items.join(",")).into_bytes();
+                for (kind, at, byte) in mutations {
+                    let at = at % (line.len() + 1);
+                    match kind {
+                        0 if at < line.len() => line[at] = SYNTAX[byte],
+                        1 => line.insert(at, SYNTAX[byte]),
+                        2 if at < line.len() => {
+                            line.remove(at);
+                        }
+                        3 => line.truncate(at),
+                        _ => {}
+                    }
+                }
+                String::from_utf8_lossy(&line).into_owned()
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The tree-free reader declines a line or reads exactly the bits
+        /// the tree reads, and `parse_vector_line` answers every line,
+        /// value or error text, as the tree path alone did.
+        #[test]
+        fn array_reader_agrees_with_the_tree_path(line in vector_line()) {
+            if let Some(v) = json::number_array(&line) {
+                let tree = json::parse(&line).map_err(TestCaseError::fail)?;
+                let want = Vec::<f64>::from_json(&tree).map_err(TestCaseError::fail)?;
+                prop_assert_eq!(bits(v), bits(want));
+            }
+            prop_assert_eq!(parse_vector_line(&line).map(bits), tree_path(&line).map(bits));
+        }
+
+        /// Arbitrary bytes, half from JSON's syntax.
+        #[test]
+        fn hostile_lines_answer_as_the_tree_path(picks in prop::collection::vec(0usize..512, 0..48)) {
+            let bytes: Vec<u8> = picks
+                .into_iter()
+                .map(|n| u8::try_from(n).unwrap_or(SYNTAX[n % SYNTAX.len()]))
+                .collect();
+            let line = String::from_utf8_lossy(&bytes);
+            prop_assert_eq!(parse_vector_line(&line).map(bits), tree_path(&line).map(bits));
+        }
+    }
 
     #[test]
     fn vector_lines_accept_json_arrays_and_bare_csv() {

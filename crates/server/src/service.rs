@@ -15,7 +15,7 @@ use crate::ndjson::{body_lines, write_json_f64, write_scored_event_json, LinePar
 use mccatch_core::ModelStats;
 use mccatch_index::IndexBuilder;
 use mccatch_metric::Metric;
-use mccatch_obs::json_escape;
+use mccatch_obs::{json_escape, Span, StageId};
 use mccatch_persist::PersistPoint;
 use mccatch_stream::StreamStats;
 use mccatch_tenant::{
@@ -94,8 +94,8 @@ pub(crate) trait Service: Send + Sync {
     fn stream_stats(&self) -> StreamStats;
     /// Summary of the currently served model for `/metrics`.
     fn model_stats(&self) -> ModelStats;
-    /// Live distance evaluations of the served model's reference tree
-    /// (fit **plus** serving queries so far) for `/metrics`.
+    /// Live distance evaluations of the served models' trees (fit
+    /// **plus** serving queries so far) for `/metrics`.
     fn live_distance_evals(&self) -> u64;
     /// `POST /admin/snapshot`: persists the tenant's snapshot set under
     /// the configured base path.
@@ -237,6 +237,9 @@ where
         // One tagged snapshot per shard for the whole batch (the
         // tenant's `score_batch` contract): the generation tag is the
         // summed shard generations of that consistent snapshot set.
+        // Parse, score (the tenant's `tenant_fanout` span) and render
+        // are timed as three stages.
+        let parse = Span::enter(StageId::ScoreParse);
         let mut parsed: Vec<Result<(), (usize, String)>> = Vec::new();
         let mut points: Vec<P> = Vec::new();
         for (line_no, raw) in body_lines(body) {
@@ -252,7 +255,9 @@ where
             };
             parsed.push(entry);
         }
+        drop(parse);
         let (scores, generation) = self.tenant.score_batch(&points);
+        let _render = Span::enter(StageId::ScoreRender);
         let mut body = String::new();
         let (mut lines_ok, mut lines_err) = (0u64, 0u64);
         let mut next_score = scores.into_iter();
@@ -486,7 +491,9 @@ mod tests {
     use mccatch_core::McCatch;
     use mccatch_index::KdTreeBuilder;
     use mccatch_metric::Euclidean;
+    use mccatch_obs::json::{self, Json};
     use mccatch_stream::{RefitPolicy, StreamConfig};
+    use proptest::prelude::*;
 
     type VecMap = TenantMap<Vec<f64>, Euclidean, KdTreeBuilder>;
 
@@ -668,6 +675,99 @@ mod tests {
         assert_eq!(agg.model.num_points, 9);
         assert_eq!(agg.model.cutoff_d, 1.5);
         assert!(!agg.model.degenerate, "one live shard un-degenerates");
+    }
+
+    /// The default tenant's service with the server's own 2-d line
+    /// parser, which refuses a wrong arity before it reaches the tree.
+    fn served() -> TenantService<Vec<f64>, Euclidean, KdTreeBuilder> {
+        let default = map(2).create_default(seed()).unwrap();
+        TenantService::new(default, crate::ndjson::vector_parser(Some(2)), None)
+    }
+
+    /// Each non-blank line of `body` got exactly one response line, in
+    /// order: an object with exactly `fields`, or `{"line": N, "error":
+    /// …}` with that line's own `N`; the outcome's counts agree.
+    fn assert_one_object_per_line(
+        body: &[u8],
+        out: &NdjsonOutcome,
+        fields: &[&str],
+    ) -> Result<(), TestCaseError> {
+        let numbers: Vec<usize> = body_lines(body).map(|(n, _)| n).collect();
+        let lines: Vec<&str> = out.body.split_terminator('\n').collect();
+        prop_assert_eq!(lines.len(), numbers.len());
+        prop_assert_eq!(out.lines_ok + out.lines_err, numbers.len() as u64);
+        let mut errors = 0;
+        for (line, n) in lines.into_iter().zip(numbers) {
+            let doc = json::parse(line).map_err(TestCaseError::fail)?;
+            let Json::Obj(members) = &doc else {
+                return Err(TestCaseError::fail(format!("not an object: {line}")));
+            };
+            let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_ref()).collect();
+            if keys == ["line", "error"] {
+                prop_assert_eq!(doc.get("line").and_then(Json::as_u64), Some(n as u64));
+                prop_assert!(doc.get("error").and_then(Json::as_str).is_some());
+                errors += 1;
+            } else {
+                prop_assert_eq!(&keys, &fields);
+                prop_assert!(matches!(doc.get("score"), Some(Json::Num(_) | Json::Null)));
+            }
+        }
+        prop_assert_eq!(out.lines_err, errors);
+        Ok(())
+    }
+
+    /// Bytes a hostile body draws half its bytes from: JSON's syntax and
+    /// line breaks, so it splits into many short lines near the grammar.
+    const BODY_BYTES: &[u8] = b"[]{}\",:\\/u0123456789.eE+-tfnrl \n\n\r";
+
+    /// Scores one body and ingests it into a fresh service: every line
+    /// answered, none panics.
+    fn check_body(body: &[u8]) -> Result<(), TestCaseError> {
+        let svc = served();
+        assert_one_object_per_line(body, &svc.score_ndjson(body), &["score"])?;
+        let fields = ["seq", "tick", "score", "generation", "flagged"];
+        assert_one_object_per_line(body, &svc.ingest_ndjson(body), &fields)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn arbitrary_bodies_answer_every_line(picks in prop::collection::vec(0usize..512, 0..200)) {
+            let body: Vec<u8> = picks
+                .into_iter()
+                .map(|n| u8::try_from(n).unwrap_or(BODY_BYTES[n % BODY_BYTES.len()]))
+                .collect();
+            check_body(&body)?;
+        }
+
+        /// Valid 2-d batches, with blank lines and CRLF endings, then up
+        /// to five byte mutations (replace, insert, delete) anywhere,
+        /// line breaks included.
+        #[test]
+        fn mutated_batches_answer_every_line(
+            lines in prop::collection::vec((-4000i32..4000, -4000i32..4000, 0usize..8), 0..40),
+            mutations in prop::collection::vec((0usize..3, 0usize..4096, 0usize..BODY_BYTES.len()), 0..6),
+        ) {
+            let mut body = Vec::new();
+            for (x, y, end) in lines {
+                let line = format!("[{}, {}]", f64::from(x) / 8.0, f64::from(y) / 8.0);
+                body.extend_from_slice(line.as_bytes());
+                body.extend_from_slice(["\n", "\r\n", "\n\n", " \n"][end % 4].as_bytes());
+            }
+            for (kind, at, byte) in mutations {
+                let at = at % (body.len() + 1);
+                match kind {
+                    0 if at < body.len() => body[at] = BODY_BYTES[byte],
+                    1 => body.insert(at, BODY_BYTES[byte]),
+                    2 if at < body.len() => {
+                        body.remove(at);
+                    }
+                    _ => {}
+                }
+            }
+            check_body(&body)?;
+        }
     }
 
     #[test]

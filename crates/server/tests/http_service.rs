@@ -184,6 +184,29 @@ fn every_response_carries_a_request_id_echoed_or_generated() {
 }
 
 #[test]
+fn scored_lines_raise_the_live_distance_eval_counter() {
+    let (server, _default) = start(ServerConfig::default());
+    let addr = server.local_addr();
+    let evals = || -> u64 {
+        let scrape = get(addr, "/metrics").unwrap();
+        let text = scrape.text().unwrap();
+        let prefix = "mccatch_index_distance_evals_total{index=\"kd\"} ";
+        let value = text.lines().find_map(|l| l.strip_prefix(prefix));
+        value.expect("the counter is exported").parse().unwrap()
+    };
+    let before = evals();
+    let body: String = (0..50)
+        .map(|i| format!("[{}, {}]\n", f64::from(i) * 0.3, 9.0 - f64::from(i) * 0.2))
+        .collect();
+    let resp = post(addr, "/score", body.as_bytes()).unwrap();
+    assert_eq!(scores_of(&resp).len(), 50);
+    // Every served query computes at least one distance, on the tree of
+    // reference inliers that answers it.
+    let after = evals();
+    assert!(after >= before + 50, "{before} -> {after}");
+}
+
+#[test]
 fn score_matches_the_model_store_bit_for_bit() {
     let (server, default) = start(ServerConfig::default());
     let detector = default.shard_detector(0).unwrap();
