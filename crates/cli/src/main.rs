@@ -8,10 +8,11 @@
 //! * `--mode lines`: one string per line; Levenshtein distance (the
 //!   paper's "L-Edit" setup for names).
 //!
-//! The index backend is selectable with `--index brute|kd|vp|slim`
-//! (default: kd for csv — the paper's footnote-4 fast path — and slim
-//! for lines; the kd-tree is Euclidean-only, so it is rejected in lines
-//! mode). The chosen backend is echoed in both report formats.
+//! The index backend is selectable with `--index brute|kd|slim`
+//! (default: kd for csv — the paper's footnote-4 fast path — and slim,
+//! the paper's metric tree, for lines; the kd-tree is Euclidean-only, so
+//! it is rejected in lines mode). The chosen backend is echoed in both
+//! report formats.
 //!
 //! `--stream` switches both modes from one-shot batch detection to the
 //! streaming subsystem (`mccatch::stream`): events are read line by
@@ -50,7 +51,7 @@
 //! ```text
 //! USAGE:
 //!   mccatch [--input FILE] [--mode csv|lines] [--format text|json]
-//!           [--index brute|kd|vp|slim]
+//!           [--index brute|kd|slim]
 //!           [--radii 15] [--slope 0.1] [--max-card N] [--threads N]
 //!           [--points] [--top K]
 //!           [--stream] [--window N] [--refit-every N] [--warmup N]
@@ -82,11 +83,13 @@
 //! 1), never panics: parsing builds a `McCatch` via the validating
 //! builder and forwards its `McCatchError` as the error message.
 //!
-//! Internally the CLI drives the type-erased serving handle
-//! (`Arc<dyn Model<_>>`), so both input modes share one report path
-//! regardless of metric and index type.
+//! Internally one `match` on `(--mode, --index)` picks the metric and
+//! the index builder, and one generic function runs serve, stream, batch
+//! `--load-model` and the batch fit over them. The two point kinds differ
+//! only through the private [`PointKind`] trait: how events are read, how
+//! wire lines are parsed, how points are labelled in reports.
 
-use mccatch::index::{BruteForceBuilder, KdTreeBuilder, SlimTreeBuilder, VpTreeBuilder};
+use mccatch::index::{BruteForceBuilder, IndexBuilder, KdTreeBuilder, SlimTreeBuilder};
 use mccatch::metrics::{Euclidean, Levenshtein, Metric};
 use mccatch::obs::json_escape;
 use mccatch::persist::{self, FsyncPolicy, PersistPoint, ReplayReader, ReplayWriter};
@@ -103,7 +106,7 @@ use std::sync::Arc;
 
 struct Cli {
     input: Option<String>,
-    mode: String,
+    mode: Option<Mode>,
     format: Format,
     index: Option<IndexChoice>,
     params: Params,
@@ -160,12 +163,39 @@ enum Format {
     Json,
 }
 
-/// The selectable index backends (`--index`).
+/// The input modes (`--mode`): vectors under the Euclidean distance, or
+/// strings under Levenshtein.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Mode {
+    Csv,
+    Lines,
+}
+
+impl Mode {
+    fn parse(s: &str) -> Result<Self, String> {
+        match s {
+            "csv" => Ok(Self::Csv),
+            "lines" => Ok(Self::Lines),
+            other => Err(format!("unknown mode: {other} (use csv|lines)")),
+        }
+    }
+
+    /// The historical defaults: the kd fast path for vector data, the
+    /// Slim-tree general path for metric data.
+    fn default_index(self) -> IndexChoice {
+        match self {
+            Self::Csv => IndexChoice::Kd,
+            Self::Lines => IndexChoice::Slim,
+        }
+    }
+}
+
+/// The selectable index backends (`--index`). Each parses from its
+/// builder's `backend_name`, the name reports and snapshots carry.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum IndexChoice {
     Brute,
     Kd,
-    Vp,
     Slim,
 }
 
@@ -174,28 +204,8 @@ impl IndexChoice {
         match s {
             "brute" => Ok(Self::Brute),
             "kd" => Ok(Self::Kd),
-            "vp" => Ok(Self::Vp),
             "slim" => Ok(Self::Slim),
-            other => Err(format!("unknown index: {other} (use brute|kd|vp|slim)")),
-        }
-    }
-
-    fn name(self) -> &'static str {
-        match self {
-            Self::Brute => "brute",
-            Self::Kd => "kd",
-            Self::Vp => "vp",
-            Self::Slim => "slim",
-        }
-    }
-
-    /// The historical defaults: the kd fast path for vector data, the
-    /// Slim-tree general path for metric data.
-    fn default_for_mode(mode: &str) -> Self {
-        if mode == "lines" {
-            Self::Slim
-        } else {
-            Self::Kd
+            other => Err(format!("unknown index: {other} (use brute|kd|slim)")),
         }
     }
 }
@@ -203,7 +213,7 @@ impl IndexChoice {
 fn parse_cli() -> Result<Cli, String> {
     let mut cli = Cli {
         input: None,
-        mode: "csv".to_owned(),
+        mode: None,
         format: Format::Text,
         index: None,
         params: Params::default(),
@@ -234,7 +244,7 @@ fn parse_cli() -> Result<Cli, String> {
         };
         match a.as_str() {
             "--input" | "-i" => cli.input = Some(need("--input")?),
-            "--mode" | "-m" => cli.mode = need("--mode")?,
+            "--mode" | "-m" => cli.mode = Some(Mode::parse(&need("--mode")?)?),
             "--format" | "-f" => {
                 cli.format = match need("--format")?.as_str() {
                     "text" => Format::Text,
@@ -333,7 +343,7 @@ fn parse_cli() -> Result<Cli, String> {
                 println!(
                     "mccatch: microcluster detection (MCCATCH, ICDE 2024)\n\n\
                      usage: mccatch [--input FILE] [--mode csv|lines] [--format text|json]\n\
-                            [--index brute|kd|vp|slim]\n\
+                            [--index brute|kd|slim]\n\
                             [--radii 15] [--slope 0.1] [--max-card N] [--threads N]\n\
                             [--points] [--top K]\n\
                             [--stream] [--window N] [--refit-every N] [--warmup N]\n\
@@ -447,12 +457,6 @@ fn parse_point(line: &str) -> Result<Vec<f64>, String> {
         .collect()
 }
 
-/// Batch csv parsing is a collect over the streaming event iterator, so
-/// both paths share one set of rules and error messages by construction.
-fn parse_csv(text: &str) -> Result<Vec<Vec<f64>>, String> {
-    csv_events(std::io::Cursor::new(text.as_bytes())).collect()
-}
-
 /// csv-mode event iterator: skips blanks/comments, parses floats, and
 /// enforces a consistent dimensionality (fixed by the first event).
 fn csv_events<R: BufRead>(reader: R) -> impl Iterator<Item = Result<Vec<f64>, String>> {
@@ -504,6 +508,67 @@ fn line_events<R: BufRead>(reader: R) -> impl Iterator<Item = Result<String, Str
     })
 }
 
+/// What the two point kinds do differently. Everything else — serve,
+/// stream, batch `--load-model` and the batch fit — is one generic path
+/// ([`run_with`]) over the metric and index builder.
+trait PointKind: PersistPoint + RouteKey + Clone + Send + Sync + 'static {
+    /// The batch error when the input holds no point.
+    const EMPTY: &'static str;
+
+    /// The event iterator over one source. Batch input is a collect over
+    /// it, so batch and `--stream` share one set of rules and error
+    /// messages by construction.
+    fn events<R: BufRead>(reader: R) -> impl Iterator<Item = Result<Self, String>>;
+
+    /// The NDJSON parser of `/score` and `/ingest` lines, built once the
+    /// default tenant's window is known.
+    fn wire_parser(window: &[Self]) -> LineParser<Self>;
+
+    /// One report label per point.
+    fn labels(points: &[Self]) -> Vec<String>;
+}
+
+impl PointKind for Vec<f64> {
+    const EMPTY: &'static str = "no data points found";
+
+    fn events<R: BufRead>(reader: R) -> impl Iterator<Item = Result<Self, String>> {
+        csv_events(reader)
+    }
+
+    /// Pins the wire protocol to the window's dimensionality, so
+    /// wrong-arity lines degrade to per-line errors; an empty window pins
+    /// to the first accepted event instead, so mixed-arity traffic can
+    /// never reach a refit.
+    fn wire_parser(window: &[Self]) -> LineParser<Self> {
+        match window.first() {
+            Some(p) => ndjson::vector_parser(Some(p.len())),
+            None => ndjson::vector_parser_auto(),
+        }
+    }
+
+    /// Vectors are labelled by their input position.
+    fn labels(points: &[Self]) -> Vec<String> {
+        (0..points.len()).map(|i| i.to_string()).collect()
+    }
+}
+
+impl PointKind for String {
+    const EMPTY: &'static str = "no lines found";
+
+    fn events<R: BufRead>(reader: R) -> impl Iterator<Item = Result<Self, String>> {
+        line_events(reader)
+    }
+
+    fn wire_parser(_: &[Self]) -> LineParser<Self> {
+        Arc::new(ndjson::parse_string_line)
+    }
+
+    /// Strings are their own labels.
+    fn labels(points: &[Self]) -> Vec<String> {
+        points.to_vec()
+    }
+}
+
 /// `--top 0` means "all microclusters".
 fn effective_top(top: usize, available: usize) -> usize {
     if top == 0 {
@@ -521,12 +586,12 @@ fn report_text(
     out: &McCatchOutput,
     labels: &[String],
     cli: &Cli,
-    index: IndexChoice,
+    index: &str,
 ) -> std::io::Result<()> {
     let stdout = std::io::stdout();
     let mut w = stdout.lock();
     writeln!(w, "# points: {}", out.point_scores.len())?;
-    writeln!(w, "# index: {}", index.name())?;
+    writeln!(w, "# index: {index}")?;
     writeln!(w, "# diameter estimate: {:.6}", out.diameter)?;
     writeln!(w, "# cutoff d: {:.6}", out.cutoff.d)?;
     writeln!(w, "# outliers: {}", out.num_outliers())?;
@@ -584,13 +649,13 @@ fn report_json(
     out: &McCatchOutput,
     labels: &[String],
     cli: &Cli,
-    index: IndexChoice,
+    index: &str,
 ) -> std::io::Result<()> {
     let stdout = std::io::stdout();
     let mut w = stdout.lock();
     writeln!(w, "{{")?;
     writeln!(w, "  \"num_points\": {},", out.point_scores.len())?;
-    writeln!(w, "  \"index\": \"{}\",", index.name())?;
+    writeln!(w, "  \"index\": \"{index}\",")?;
     writeln!(w, "  \"diameter\": {},", json_f64(out.diameter))?;
     writeln!(w, "  \"cutoff\": {},", json_f64(out.cutoff.d))?;
     writeln!(w, "  \"num_outliers\": {},", out.num_outliers())?;
@@ -676,7 +741,7 @@ fn print_report(
     out: &McCatchOutput,
     labels: &[String],
     cli: &Cli,
-    index: IndexChoice,
+    index: &str,
 ) -> Result<(), String> {
     let result = match cli.format {
         Format::Text => report_text(out, labels, cli, index),
@@ -759,9 +824,9 @@ fn log_window<P, M, B>(
     stream: &StreamDetector<P, M, B>,
 ) -> Result<(), String>
 where
-    P: PersistPoint + Clone + Send + Sync + 'static,
+    P: PointKind,
     M: Metric<P> + Clone + 'static,
-    B: mccatch::index::IndexBuilder<P, M> + Clone + Send + Sync + 'static,
+    B: IndexBuilder<P, M> + Clone + Send + Sync + 'static,
     B::Index: Send + Sync + 'static,
 {
     let cp = stream.checkpoint();
@@ -785,9 +850,9 @@ fn restore_detector<P, M, B>(
     snap: &str,
 ) -> Result<StreamDetector<P, M, B>, String>
 where
-    P: PersistPoint + Clone + Send + Sync + 'static,
+    P: PointKind,
     M: Metric<P> + Clone + 'static,
-    B: mccatch::index::IndexBuilder<P, M> + Clone + Send + Sync + 'static,
+    B: IndexBuilder<P, M> + Clone + Send + Sync + 'static,
     B::Index: Send + Sync + 'static,
 {
     let replayed = match &cli.replay_log {
@@ -816,26 +881,20 @@ where
     Ok(detector)
 }
 
-/// Drives the streaming subsystem over an event iterator: seed the
+/// Drives the streaming subsystem over the input's events: seed the
 /// first `--warmup` events (or warm-start from `--load-model`), then
 /// score-and-emit each remaining event, appending accepted events to
 /// the `--replay-log` and checkpointing to `--save-model` at end of
-/// input. Generic over the point type and backend, so csv and lines
-/// mode share one implementation across all four `--index` choices.
-fn run_stream<P, M, B>(
-    cli: &Cli,
-    detector: McCatch,
-    metric: M,
-    builder: B,
-    index: IndexChoice,
-    mut events: impl Iterator<Item = Result<P, String>>,
-) -> Result<(), String>
+/// input.
+fn run_stream<P, M, B>(cli: &Cli, detector: McCatch, metric: M, builder: B) -> Result<(), String>
 where
-    P: PersistPoint + Clone + Send + Sync + 'static,
+    P: PointKind,
     M: Metric<P> + Clone + 'static,
-    B: mccatch::index::IndexBuilder<P, M> + Clone + Send + Sync + 'static,
+    B: IndexBuilder<P, M> + Clone + Send + Sync + 'static,
     B::Index: Send + Sync + 'static,
 {
+    let mut events = P::events(open_events(&cli.input)?);
+    let index = builder.backend_name();
     let config = stream_config(cli);
     let mut replay = open_replay_writer(cli)?;
     let stream = if let Some(snap) = &cli.load_model {
@@ -894,7 +953,7 @@ where
         "# stream summary: index={} events={} scored={} evicted={} window={}/{} \
          generation={} refits(completed/requested/coalesced/skipped/failed)={}/{}/{}/{}/{} \
          fit_distance_evals={}",
-        index.name(),
+        index,
         stats.events_ingested,
         stats.events_scored,
         stats.events_evicted,
@@ -927,30 +986,26 @@ where
 /// address on stdout (machine-readable — ask for port 0 and read it
 /// back), and blocks until the process is stopped.
 ///
-/// `parser_for` builds the NDJSON line parser once the default window
-/// is known, so csv mode can pin the expected dimensionality to it.
-///
 /// Every tenant is stamped from one `TenantSpec`: `--shards K` shards
 /// per named tenant (the default tenant always has one), the shared
 /// stream schedule, and `{log}.{tenant}.{shard}` replay logs under
 /// `--replay-log`. `--tenants N` pre-creates `a`, `b`, … and
 /// `PUT /admin/tenants/{name}` creates more over the wire.
-fn run_serve<P, M, B>(
-    cli: &Cli,
-    detector: McCatch,
-    metric: M,
-    builder: B,
-    index: IndexChoice,
-    parser_for: impl FnOnce(&[P]) -> LineParser<P>,
-    events: impl Iterator<Item = Result<P, String>>,
-) -> Result<(), String>
+fn run_serve<P, M, B>(cli: &Cli, detector: McCatch, metric: M, builder: B) -> Result<(), String>
 where
-    P: PersistPoint + RouteKey + Clone + Send + Sync + 'static,
+    P: PointKind,
     M: Metric<P> + Clone + 'static,
-    B: mccatch::index::IndexBuilder<P, M> + Clone + Send + Sync + 'static,
+    B: IndexBuilder<P, M> + Clone + Send + Sync + 'static,
     B::Index: Send + Sync + 'static,
 {
     let addr = cli.serve.as_deref().expect("run_serve requires --serve");
+    // Seed events come from --input only: a server must not sit
+    // reading stdin (there is no terminal in its lifecycle).
+    let events = match &cli.input {
+        Some(_) => Some(P::events(open_events(&cli.input)?)),
+        None => None,
+    };
+    let index = builder.backend_name();
     let server_config = ServerConfig {
         snapshot_path: cli.save_model.clone().map(std::path::PathBuf::from),
         // The CLI serves humans, so the access log defaults on (stderr,
@@ -1016,7 +1071,7 @@ where
             if let Some(log) = &cli.replay_log {
                 refuse_stale_log(&shard_file_path(log.as_ref(), DEFAULT_TENANT, 0))?;
             }
-            let seed: Vec<P> = events.collect::<Result<_, _>>()?;
+            let seed: Vec<P> = events.into_iter().flatten().collect::<Result<_, _>>()?;
             tenants.create_default(seed).map_err(|e| e.to_string())?
         }
     };
@@ -1033,14 +1088,14 @@ where
         .shard_detector(0)
         .expect("the default tenant has one shard")
         .window_points();
-    let parser = parser_for(&window);
+    let parser = P::wire_parser(&window);
     let server = mccatch::server::serve(
         addr,
         server_config,
         default,
         Arc::new(tenants),
         parser,
-        index.name(),
+        index,
     )
     .map_err(|e| e.to_string())?;
     // The stdout line is the contract smoke gates and scripts parse;
@@ -1053,171 +1108,93 @@ where
         "# serving index={} window={} tenants={} shards={} \
          endpoints=/score,/ingest,/admin/refit,/admin/snapshot,\
          /admin/snapshot/info,/healthz,/metrics,/admin/tenants,/t/{{tenant}}/*",
-        index.name(),
-        cli.window,
-        cli.tenants,
-        cli.shards
+        index, cli.window, cli.tenants, cli.shards
     );
     server.wait();
     Ok(())
 }
 
-/// Fits a batch model over vector points with the chosen backend.
-fn fit_csv_model(
-    detector: &McCatch,
-    points: Vec<Vec<f64>>,
-    index: IndexChoice,
-) -> Result<Arc<dyn Model<Vec<f64>>>, String> {
-    let fitted = match index {
-        IndexChoice::Brute => detector
-            .fit(points, Euclidean, BruteForceBuilder)
-            .map(|f| f.into_model()),
-        IndexChoice::Kd => detector
-            .fit(points, Euclidean, KdTreeBuilder::default())
-            .map(|f| f.into_model()),
-        IndexChoice::Vp => detector
-            .fit(points, Euclidean, VpTreeBuilder::default())
-            .map(|f| f.into_model()),
-        IndexChoice::Slim => detector
-            .fit(points, Euclidean, SlimTreeBuilder::default())
-            .map(|f| f.into_model()),
-    };
-    fitted.map_err(|e| e.to_string())
-}
-
-/// Fits a batch model over string points with the chosen backend.
-fn fit_lines_model(
-    detector: &McCatch,
-    lines: Vec<String>,
-    index: IndexChoice,
-) -> Result<Arc<dyn Model<String>>, String> {
-    let fitted = match index {
-        IndexChoice::Kd => return Err(kd_needs_csv()),
-        IndexChoice::Brute => detector
-            .fit(lines, Levenshtein, BruteForceBuilder)
-            .map(|f| f.into_model()),
-        IndexChoice::Vp => detector
-            .fit(lines, Levenshtein, VpTreeBuilder::default())
-            .map(|f| f.into_model()),
-        IndexChoice::Slim => detector
-            .fit(lines, Levenshtein, SlimTreeBuilder::default())
-            .map(|f| f.into_model()),
-    };
-    fitted.map_err(|e| e.to_string())
-}
-
-fn kd_needs_csv() -> String {
-    "--index kd is Euclidean-only and requires --mode csv (use brute|vp|slim for lines)".to_owned()
-}
-
-/// Batch-mode `--load-model`: rebuilds the fitted model from a snapshot
-/// (verified bit-identical by `mccatch::persist`) and prints the usual
-/// report — no input data needed.
-fn report_snapshot<P, M, B>(
-    cli: &Cli,
-    path: &str,
-    metric: M,
-    builder: B,
-    index: IndexChoice,
-    labels_of: impl FnOnce(&[P]) -> Vec<String>,
-) -> Result<(), String>
-where
-    P: PersistPoint + Clone + Send + Sync + 'static,
-    M: Metric<P> + Clone + 'static,
-    B: mccatch::index::IndexBuilder<P, M> + Clone + Send + Sync + 'static,
-    B::Index: Send + Sync + 'static,
-{
-    let file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
-    let loaded = persist::load_model(std::io::BufReader::new(file), metric, builder)
-        .map_err(|e| format!("{path}: {e}"))?;
-    eprintln!(
-        "# loaded snapshot: {path} generation={} seq={}",
-        loaded.generation, loaded.seq
-    );
-    let labels = labels_of(&loaded.fitted.export().points);
-    print_report(&loaded.fitted.detect(), &labels, cli, index)
-}
-
-/// Dispatches batch-mode `--load-model` on the snapshot's own header:
-/// the point kind picks the metric, the recorded backend picks the
-/// index — a `--mode`/`--index` flag is only consulted to catch a
-/// contradiction.
-fn run_batch_load(cli: &Cli, path: &str) -> Result<(), String> {
+/// Batch-mode `--load-model` takes the point kind and the backend from
+/// the snapshot's own header; a `--mode` or `--index` flag is only
+/// consulted to catch a contradiction.
+fn snapshot_choice(cli: &Cli, path: &str) -> Result<(Mode, IndexChoice), String> {
     let file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
     let info =
         persist::read_info(std::io::BufReader::new(file)).map_err(|e| format!("{path}: {e}"))?;
-    let index =
-        IndexChoice::parse(&info.backend).map_err(|e| format!("{path}: snapshot backend: {e}"))?;
-    if let Some(flag) = cli.index {
-        if flag != index {
-            return Err(format!(
-                "--index {} contradicts the snapshot, which was fitted with {}",
-                flag.name(),
-                index.name()
-            ));
-        }
+    let (mode, kind) = match info.point_kind {
+        <Vec<f64> as PersistPoint>::KIND => (Mode::Csv, "vectors (--mode csv)"),
+        <String as PersistPoint>::KIND => (Mode::Lines, "strings (--mode lines)"),
+        other => return Err(format!("{path}: unsupported point kind {other}")),
+    };
+    // Every backend gives the same answers, so a refit under one this
+    // build has reproduces the snapshot's flags.
+    let index = IndexChoice::parse(&info.backend).map_err(|_| {
+        format!(
+            "{path}: the snapshot was fitted with index {:?}, which this build does not have; \
+             refit under --index slim (or kd for vectors) and re-save",
+            info.backend
+        )
+    })?;
+    if cli.mode.is_some_and(|flag| flag != mode) {
+        return Err(format!(
+            "--mode contradicts the snapshot, which holds {kind}"
+        ));
     }
-    match info.point_kind {
-        1 => {
-            let labels_of =
-                |pts: &[Vec<f64>]| (0..pts.len()).map(|i| i.to_string()).collect::<Vec<_>>();
-            match index {
-                IndexChoice::Brute => {
-                    report_snapshot(cli, path, Euclidean, BruteForceBuilder, index, labels_of)
-                }
-                IndexChoice::Kd => report_snapshot(
-                    cli,
-                    path,
-                    Euclidean,
-                    KdTreeBuilder::default(),
-                    index,
-                    labels_of,
-                ),
-                IndexChoice::Vp => report_snapshot(
-                    cli,
-                    path,
-                    Euclidean,
-                    VpTreeBuilder::default(),
-                    index,
-                    labels_of,
-                ),
-                IndexChoice::Slim => report_snapshot(
-                    cli,
-                    path,
-                    Euclidean,
-                    SlimTreeBuilder::default(),
-                    index,
-                    labels_of,
-                ),
-            }
-        }
-        2 => {
-            let labels_of = |pts: &[String]| pts.to_vec();
-            match index {
-                IndexChoice::Kd => Err(kd_needs_csv()),
-                IndexChoice::Brute => {
-                    report_snapshot(cli, path, Levenshtein, BruteForceBuilder, index, labels_of)
-                }
-                IndexChoice::Vp => report_snapshot(
-                    cli,
-                    path,
-                    Levenshtein,
-                    VpTreeBuilder::default(),
-                    index,
-                    labels_of,
-                ),
-                IndexChoice::Slim => report_snapshot(
-                    cli,
-                    path,
-                    Levenshtein,
-                    SlimTreeBuilder::default(),
-                    index,
-                    labels_of,
-                ),
-            }
-        }
-        other => Err(format!("{path}: unsupported point kind {other}")),
+    if cli.index.is_some_and(|flag| flag != index) {
+        return Err(format!(
+            "--index contradicts the snapshot, which was fitted with --index {}",
+            info.backend
+        ));
     }
+    Ok((mode, index))
+}
+
+/// Runs the command the flags ask for — serve, stream, batch
+/// `--load-model` or a batch fit — over one metric and index builder.
+fn run_with<P, M, B>(cli: &Cli, detector: McCatch, metric: M, builder: B) -> Result<(), String>
+where
+    P: PointKind,
+    M: Metric<P> + Clone + 'static,
+    B: IndexBuilder<P, M> + Clone + Send + Sync + 'static,
+    B::Index: Send + Sync + 'static,
+{
+    if cli.serve.is_some() {
+        return run_serve(cli, detector, metric, builder);
+    }
+    if cli.stream {
+        return run_stream(cli, detector, metric, builder);
+    }
+    let index = builder.backend_name();
+    let (out, labels) = match &cli.load_model {
+        // The snapshot is the dataset and the fit: rebuilt, verified
+        // bit-identical by `mccatch::persist`, and reported.
+        Some(path) => {
+            let file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
+            let loaded = persist::load_model(std::io::BufReader::new(file), metric, builder)
+                .map_err(|e| format!("{path}: {e}"))?;
+            eprintln!(
+                "# loaded snapshot: {path} generation={} seq={}",
+                loaded.generation, loaded.seq
+            );
+            let labels = P::labels(&loaded.fitted.export().points);
+            (loaded.fitted.detect(), labels)
+        }
+        None => {
+            let text = read_input(&cli.input)?;
+            let points: Vec<P> =
+                P::events(std::io::Cursor::new(text.as_bytes())).collect::<Result<_, _>>()?;
+            if points.is_empty() {
+                return Err(P::EMPTY.to_owned());
+            }
+            let labels = P::labels(&points);
+            let fitted = detector
+                .fit(points, metric, builder)
+                .map_err(|e| e.to_string())?;
+            save_batch_model(cli, &fitted)?;
+            (fitted.detect(), labels)
+        }
+    };
+    print_report(&out, &labels, cli, index)
 }
 
 /// Batch-mode `--save-model`: persists a freshly fitted model at
@@ -1238,9 +1215,6 @@ fn run() -> Result<(), String> {
     // Validate hyperparameters before reading any data: typed errors from
     // the builder, rendered as ordinary CLI failures.
     let detector = McCatch::new(cli.params.clone()).map_err(|e| e.to_string())?;
-    let index = cli
-        .index
-        .unwrap_or(IndexChoice::default_for_mode(&cli.mode));
 
     if cli.serve.is_none() && (cli.tenants > 0 || cli.shards != 1) {
         return Err("--tenants/--shards only apply to serve mode; add --serve ADDR".to_owned());
@@ -1254,208 +1228,35 @@ fn run() -> Result<(), String> {
         );
     }
 
-    if cli.serve.is_some() {
-        // Seed events come from --input only: a server must not sit
-        // reading stdin (there is no terminal in its lifecycle).
-        return match cli.mode.as_str() {
-            "csv" => {
-                let events: Box<dyn Iterator<Item = Result<Vec<f64>, String>>> = match &cli.input {
-                    Some(_) => Box::new(csv_events(open_events(&cli.input)?)),
-                    None => Box::new(std::iter::empty()),
-                };
-                // Pin the wire protocol to the seeded dimensionality so
-                // wrong-arity lines degrade to per-line errors; an
-                // unseeded server pins to the first accepted event
-                // instead, so mixed-arity traffic can never reach a
-                // refit.
-                let parser_for = |seed: &[Vec<f64>]| match seed.first() {
-                    Some(p) => ndjson::vector_parser(Some(p.len())),
-                    None => ndjson::vector_parser_auto(),
-                };
-                match index {
-                    IndexChoice::Brute => run_serve(
-                        &cli,
-                        detector,
-                        Euclidean,
-                        BruteForceBuilder,
-                        index,
-                        parser_for,
-                        events,
-                    ),
-                    IndexChoice::Kd => run_serve(
-                        &cli,
-                        detector,
-                        Euclidean,
-                        KdTreeBuilder::default(),
-                        index,
-                        parser_for,
-                        events,
-                    ),
-                    IndexChoice::Vp => run_serve(
-                        &cli,
-                        detector,
-                        Euclidean,
-                        VpTreeBuilder::default(),
-                        index,
-                        parser_for,
-                        events,
-                    ),
-                    IndexChoice::Slim => run_serve(
-                        &cli,
-                        detector,
-                        Euclidean,
-                        SlimTreeBuilder::default(),
-                        index,
-                        parser_for,
-                        events,
-                    ),
-                }
-            }
-            "lines" => {
-                let events: Box<dyn Iterator<Item = Result<String, String>>> = match &cli.input {
-                    Some(_) => Box::new(line_events(open_events(&cli.input)?)),
-                    None => Box::new(std::iter::empty()),
-                };
-                let parser_for =
-                    |_: &[String]| -> LineParser<String> { Arc::new(ndjson::parse_string_line) };
-                match index {
-                    IndexChoice::Kd => Err(kd_needs_csv()),
-                    IndexChoice::Brute => run_serve(
-                        &cli,
-                        detector,
-                        Levenshtein,
-                        BruteForceBuilder,
-                        index,
-                        parser_for,
-                        events,
-                    ),
-                    IndexChoice::Vp => run_serve(
-                        &cli,
-                        detector,
-                        Levenshtein,
-                        VpTreeBuilder::default(),
-                        index,
-                        parser_for,
-                        events,
-                    ),
-                    IndexChoice::Slim => run_serve(
-                        &cli,
-                        detector,
-                        Levenshtein,
-                        SlimTreeBuilder::default(),
-                        index,
-                        parser_for,
-                        events,
-                    ),
-                }
-            }
-            other => Err(format!("unknown mode: {other} (use csv|lines)")),
-        };
-    }
-
-    if cli.stream {
-        let reader = open_events(&cli.input)?;
-        return match cli.mode.as_str() {
-            "csv" => {
-                let events = csv_events(reader);
-                match index {
-                    IndexChoice::Brute => {
-                        run_stream(&cli, detector, Euclidean, BruteForceBuilder, index, events)
-                    }
-                    IndexChoice::Kd => run_stream(
-                        &cli,
-                        detector,
-                        Euclidean,
-                        KdTreeBuilder::default(),
-                        index,
-                        events,
-                    ),
-                    IndexChoice::Vp => run_stream(
-                        &cli,
-                        detector,
-                        Euclidean,
-                        VpTreeBuilder::default(),
-                        index,
-                        events,
-                    ),
-                    IndexChoice::Slim => run_stream(
-                        &cli,
-                        detector,
-                        Euclidean,
-                        SlimTreeBuilder::default(),
-                        index,
-                        events,
-                    ),
-                }
-            }
-            "lines" => {
-                let events = line_events(reader);
-                match index {
-                    IndexChoice::Kd => Err(kd_needs_csv()),
-                    IndexChoice::Brute => run_stream(
-                        &cli,
-                        detector,
-                        Levenshtein,
-                        BruteForceBuilder,
-                        index,
-                        events,
-                    ),
-                    IndexChoice::Vp => run_stream(
-                        &cli,
-                        detector,
-                        Levenshtein,
-                        VpTreeBuilder::default(),
-                        index,
-                        events,
-                    ),
-                    IndexChoice::Slim => run_stream(
-                        &cli,
-                        detector,
-                        Levenshtein,
-                        SlimTreeBuilder::default(),
-                        index,
-                        events,
-                    ),
-                }
-            }
-            other => Err(format!("unknown mode: {other} (use csv|lines)")),
-        };
-    }
-
-    // Batch-mode `--load-model` needs no input at all: the snapshot is
-    // the dataset, the fit, and the backend choice in one file.
-    if let Some(path) = &cli.load_model {
-        return run_batch_load(&cli, path);
-    }
-
-    let text = read_input(&cli.input)?;
-    // Each mode fits its own point type; both erase into `Arc<dyn Model>`
-    // and feed the same format-aware report functions.
-    match cli.mode.as_str() {
-        "csv" => {
-            let points = parse_csv(&text)?;
-            if points.is_empty() {
-                return Err("no data points found".to_owned());
-            }
-            let labels: Vec<String> = (0..points.len()).map(|i| i.to_string()).collect();
-            let model = fit_csv_model(&detector, points, index)?;
-            save_batch_model(&cli, model.as_ref())?;
-            print_report(&model.detect_output(), &labels, &cli, index)
+    let (mode, index) = match &cli.load_model {
+        // Batch-mode `--load-model` needs no input at all: the snapshot
+        // is the dataset, the fit, and the backend choice in one file.
+        Some(path) if cli.serve.is_none() && !cli.stream => snapshot_choice(&cli, path)?,
+        _ => {
+            let mode = cli.mode.unwrap_or(Mode::Csv);
+            (mode, cli.index.unwrap_or(mode.default_index()))
         }
-        "lines" => {
-            // Same iterator as `--stream` lines mode: one set of skip
-            // rules for both paths, by construction.
-            let lines: Vec<String> =
-                line_events(std::io::Cursor::new(text.as_bytes())).collect::<Result<_, _>>()?;
-            if lines.is_empty() {
-                return Err("no lines found".to_owned());
-            }
-            let labels = lines.clone();
-            let model = fit_lines_model(&detector, lines, index)?;
-            save_batch_model(&cli, model.as_ref())?;
-            print_report(&model.detect_output(), &labels, &cli, index)
+    };
+    match (mode, index) {
+        (Mode::Csv, IndexChoice::Kd) => {
+            run_with::<Vec<f64>, _, _>(&cli, detector, Euclidean, KdTreeBuilder::default())
         }
-        other => Err(format!("unknown mode: {other} (use csv|lines)")),
+        (Mode::Csv, IndexChoice::Slim) => {
+            run_with::<Vec<f64>, _, _>(&cli, detector, Euclidean, SlimTreeBuilder::default())
+        }
+        (Mode::Csv, IndexChoice::Brute) => {
+            run_with::<Vec<f64>, _, _>(&cli, detector, Euclidean, BruteForceBuilder)
+        }
+        (Mode::Lines, IndexChoice::Slim) => {
+            run_with::<String, _, _>(&cli, detector, Levenshtein, SlimTreeBuilder::default())
+        }
+        (Mode::Lines, IndexChoice::Brute) => {
+            run_with::<String, _, _>(&cli, detector, Levenshtein, BruteForceBuilder)
+        }
+        (Mode::Lines, IndexChoice::Kd) => Err(
+            "--index kd is Euclidean-only and requires --mode csv (use brute|slim for lines)"
+                .to_owned(),
+        ),
     }
 }
 
@@ -1472,6 +1273,11 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Batch csv parsing: a collect over the event iterator.
+    fn parse_csv(text: &str) -> Result<Vec<Vec<f64>>, String> {
+        <Vec<f64>>::events(std::io::Cursor::new(text.as_bytes())).collect()
+    }
 
     #[test]
     fn parse_csv_commas_and_whitespace() {
@@ -1537,37 +1343,14 @@ mod tests {
     fn index_choice_parses_and_defaults() {
         assert_eq!(IndexChoice::parse("kd"), Ok(IndexChoice::Kd));
         assert_eq!(IndexChoice::parse("brute"), Ok(IndexChoice::Brute));
-        assert_eq!(IndexChoice::parse("vp"), Ok(IndexChoice::Vp));
         assert_eq!(IndexChoice::parse("slim"), Ok(IndexChoice::Slim));
+        assert!(IndexChoice::parse("vp").is_err());
         assert!(IndexChoice::parse("rtree").is_err());
-        assert_eq!(IndexChoice::default_for_mode("csv"), IndexChoice::Kd);
-        assert_eq!(IndexChoice::default_for_mode("lines"), IndexChoice::Slim);
-    }
-
-    #[test]
-    fn kd_index_is_rejected_for_lines_mode() {
-        let detector = McCatch::builder().build().unwrap();
-        let err = fit_lines_model(&detector, vec!["a".into(), "b".into()], IndexChoice::Kd)
-            .err()
-            .expect("kd must be rejected in lines mode");
-        assert!(err.contains("csv"), "{err}");
-    }
-
-    #[test]
-    fn every_index_choice_fits_vector_data() {
-        let detector = McCatch::builder().build().unwrap();
-        let pts: Vec<Vec<f64>> = (0..50)
-            .map(|i| vec![(i % 10) as f64, (i / 10) as f64])
-            .collect();
-        for index in [
-            IndexChoice::Brute,
-            IndexChoice::Kd,
-            IndexChoice::Vp,
-            IndexChoice::Slim,
-        ] {
-            let model = fit_csv_model(&detector, pts.clone(), index).unwrap();
-            assert_eq!(model.stats().num_points, 50, "{index:?}");
-        }
+        assert_eq!(Mode::parse("csv"), Ok(Mode::Csv));
+        assert_eq!(Mode::parse("lines"), Ok(Mode::Lines));
+        assert!(Mode::parse("typo").is_err());
+        assert_eq!(Mode::Csv.default_index(), IndexChoice::Kd);
+        assert_eq!(Mode::Lines.default_index(), IndexChoice::Slim);
     }
 
     #[test]

@@ -754,7 +754,7 @@ const PROBE_QUERIES: usize = 32;
 /// query ranges widely, and no query count fits every backend and metric:
 /// a kd-tree's nearest inlier among 2,000 3-d http points took 0.6–0.9 µs
 /// (2 ms is ~2,500 of them, so a 500-line batch stays on one thread),
-/// while a Slim-tree, vp-tree or kd-tree over 2,000 uniform 20-d points
+/// while a Slim-tree or kd-tree over 2,000 uniform 20-d points
 /// took 45–110 µs per query (a 500-line batch splits).
 const MIN_WORK_PER_THREAD: Duration = Duration::from_millis(2);
 

@@ -2,13 +2,11 @@
 //! 2), and with it the radius grid, every count, plateau, cutoff, flag and
 //! score, is a function of the points and the metric alone, and every
 //! backend counts a point at exactly a radius the same way. So `detect()`
-//! is bit-identical on kd, vp, Slim and brute force: outliers,
+//! is bit-identical on kd, Slim and brute force: outliers,
 //! microcluster partition and every point-score bit.
 
 use mccatch_core::{McCatch, McCatchOutput, Params};
-use mccatch_index::{
-    BruteForceBuilder, IndexBuilder, KdTreeBuilder, SlimTreeBuilder, VpTreeBuilder,
-};
+use mccatch_index::{BruteForceBuilder, IndexBuilder, KdTreeBuilder, SlimTreeBuilder};
 use mccatch_metric::{CountingMetric, Euclidean, Levenshtein, Metric};
 use proptest::prelude::*;
 
@@ -52,13 +50,12 @@ fn assert_same(name: &str, want: &McCatchOutput, got: &McCatchOutput) -> Result<
     Ok(())
 }
 
-/// kd, vp and Slim against brute force on vector data.
+/// kd and Slim against brute force on vector data.
 fn check_vectors(points: &[Vec<f64>]) -> Result<(), TestCaseError> {
     let brute = detect(points, Euclidean, BruteForceBuilder);
     let kd = detect(points, Euclidean, KdTreeBuilder::default());
-    let vp = detect(points, Euclidean, VpTreeBuilder::default());
     let slim = detect(points, Euclidean, SlimTreeBuilder::default());
-    for (name, got) in [("kd", kd), ("vp", vp), ("slim", slim)] {
+    for (name, got) in [("kd", kd), ("slim", slim)] {
         assert_same(name, &brute, &got)?;
     }
     Ok(())
@@ -109,9 +106,7 @@ proptest! {
     #[test]
     fn short_strings_give_one_answer(words in prop::collection::vec("[a-c]{0,6}", 3..60)) {
         let brute = detect(&words, Levenshtein, BruteForceBuilder);
-        let vp = detect(&words, Levenshtein, VpTreeBuilder::default());
         let slim = detect(&words, Levenshtein, SlimTreeBuilder::default());
-        assert_same("vp", &brute, &vp)?;
         assert_same("slim", &brute, &slim)?;
     }
 

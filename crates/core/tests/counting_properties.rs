@@ -5,9 +5,7 @@
 
 use mccatch_core::counts::{count_neighbors, count_neighbors_per_radius, OVER};
 use mccatch_core::params::RadiusGrid;
-use mccatch_index::{
-    BruteForce, IndexBuilder, KdTreeBuilder, RangeIndex, SlimTreeBuilder, VpTreeBuilder,
-};
+use mccatch_index::{BruteForce, IndexBuilder, KdTreeBuilder, RangeIndex, SlimTreeBuilder};
 use mccatch_metric::{Euclidean, Metric};
 use proptest::prelude::*;
 
@@ -84,13 +82,11 @@ proptest! {
         let grid = RadiusGrid::new(brute.diameter_estimate(), 8);
         prop_assume!(!grid.is_degenerate());
         let slim = SlimTreeBuilder::default().build_all_ref(&pts, &Euclidean);
-        let vp = VpTreeBuilder::default().build_all_ref(&pts, &Euclidean);
         let kd = KdTreeBuilder::default().build_all_ref(&pts, &Euclidean);
         let reference = count_neighbors_per_radius(&brute, &pts, grid.radii(), c, 1);
         for (name, new) in [
             ("brute", count_neighbors(&brute, &pts, grid.radii(), c, threads)),
             ("slim", count_neighbors(&slim, &pts, grid.radii(), c, threads)),
-            ("vp", count_neighbors(&vp, &pts, grid.radii(), c, threads)),
             ("kd", count_neighbors(&kd, &pts, grid.radii(), c, threads)),
         ] {
             prop_assert_eq!(new.active_per_radius.as_slice(), reference.active_per_radius.as_slice(), "{} active sets", name);
@@ -108,15 +104,12 @@ proptest! {
         let grid = RadiusGrid::new(brute.diameter_estimate(), 8);
         prop_assume!(!grid.is_degenerate());
         let slim = SlimTreeBuilder::default().build_all_ref(&pts, &Euclidean);
-        let vp = VpTreeBuilder::default().build_all_ref(&pts, &Euclidean);
         let kd = KdTreeBuilder::default().build_all_ref(&pts, &Euclidean);
         let a = count_neighbors(&brute, &pts, grid.radii(), c, 1);
         let b = count_neighbors(&slim, &pts, grid.radii(), c, 1);
-        let d = count_neighbors(&vp, &pts, grid.radii(), c, 1);
         let k = count_neighbors(&kd, &pts, grid.radii(), c, 1);
         for i in 0..pts.len() {
             prop_assert_eq!(a.row(i), b.row(i), "slim row {} differs", i);
-            prop_assert_eq!(a.row(i), d.row(i), "vp row {} differs", i);
             prop_assert_eq!(a.row(i), k.row(i), "kd row {} differs", i);
         }
     }

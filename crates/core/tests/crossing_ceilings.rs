@@ -2,7 +2,7 @@
 //! point's first count above `c` at its ceiling `T_k` decides exactly
 //! what a fit over the exact table decides.
 //!
-//! For every backend (brute, kd, vp, Slim), on vectors at 2-d, 3-d and
+//! For every backend (brute, kd, Slim), on vectors at 2-d, 3-d and
 //! 20-d and on strings under Levenshtein, for several seeds, several `c`
 //! and every `b` of {0, 0.05, 0.1, 0.3, 1, 4}:
 //!
@@ -21,9 +21,7 @@ use mccatch_core::gel::spot_microclusters;
 use mccatch_core::plateau::crossing_ceilings;
 use mccatch_core::score::score_microclusters;
 use mccatch_core::{compute_cutoff, McCatch, OraclePlot, Params};
-use mccatch_index::{
-    BruteForceBuilder, IndexBuilder, KdTreeBuilder, RangeIndex, SlimTreeBuilder, VpTreeBuilder,
-};
+use mccatch_index::{BruteForceBuilder, IndexBuilder, KdTreeBuilder, RangeIndex, SlimTreeBuilder};
 use mccatch_metric::{Euclidean, Levenshtein, Metric};
 use std::sync::Arc;
 
@@ -277,13 +275,6 @@ fn ceiling_fits_equal_exact_fits_on_vectors() {
                 &mut t,
             );
             check_backend(
-                &label("vp"),
-                &pts,
-                Euclidean,
-                VpTreeBuilder::default(),
-                &mut t,
-            );
-            check_backend(
                 &label("slim"),
                 &pts,
                 Euclidean,
@@ -307,13 +298,6 @@ fn ceiling_fits_equal_exact_fits_on_strings() {
         let ws: Arc<[String]> = words(seed).into();
         let label = |backend: &str| format!("{backend} words seed {seed}");
         check_backend(&label("brute"), &ws, Levenshtein, BruteForceBuilder, &mut t);
-        check_backend(
-            &label("vp"),
-            &ws,
-            Levenshtein,
-            VpTreeBuilder::default(),
-            &mut t,
-        );
         check_backend(
             &label("slim"),
             &ws,

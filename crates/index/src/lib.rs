@@ -9,8 +9,6 @@
 //!   and triangle-inequality pruning;
 //! * [`KdTree`] — a kd-tree fast path for main-memory vector data under the
 //!   Euclidean metric (the paper's footnote 4);
-//! * [`VpTree`] — a vantage-point tree, a lightweight alternative metric
-//!   index demonstrating the pipeline's index-agnosticism;
 //! * [`BruteForce`] — a linear-scan reference implementation used as ground
 //!   truth in tests and as a baseline in benches;
 //! * count-only join helpers ([`batch_range_count`],
@@ -20,7 +18,7 @@
 //!   asks for pairs (the microcluster gelling step). The multi-radius
 //!   variant drives MCCATCH's counting stage: one tree descent per query
 //!   fills the counts for every grid radius at once
-//!   ([`RangeIndex::multi_range_count_within`], native in all four
+//!   ([`RangeIndex::multi_range_count_within`], native in all three
 //!   backends), and the fit runs it over every point through
 //!   [`RangeIndex::self_join_into`], where the kd-tree lets each leaf's
 //!   points descend together.
@@ -37,7 +35,6 @@ mod brute;
 mod kd;
 mod multi;
 mod slim;
-mod vp;
 
 pub mod join;
 
@@ -47,7 +44,6 @@ pub use join::{
 };
 pub use kd::{KdTree, KdTreeBuilder};
 pub use slim::{SlimTree, SlimTreeBuilder};
-pub use vp::{VpTree, VpTreeBuilder};
 
 use mccatch_metric::Metric;
 use std::sync::Arc;
@@ -422,7 +418,7 @@ pub trait IndexBuilder<P, M: Metric<P>>: Sync {
         self.build_all(Arc::from(points), Arc::new(metric.clone()))
     }
 
-    /// A short, stable identifier for this backend ("brute", "kd", "vp",
+    /// A short, stable identifier for this backend ("brute", "kd",
     /// "slim"), used to label metrics and to tag persisted model
     /// snapshots so a snapshot is only rebuilt with the index family it
     /// was fitted with. Every backend gives the same answers; the tag

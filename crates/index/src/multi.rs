@@ -1,7 +1,7 @@
 //! Shared machinery for the single-traversal multi-radius count
 //! ([`RangeIndex::multi_range_count_within`](crate::RangeIndex::multi_range_count_within)).
 //!
-//! All four backends share the same accounting scheme. The radius grid is
+//! All three backends share the same accounting scheme. The radius grid is
 //! ascending, so a point at distance `d` contributes to every column `k`
 //! with `d <= radii[k]` — a *suffix* of the grid. Contributions are
 //! therefore recorded in a difference array: adding `c` to columns

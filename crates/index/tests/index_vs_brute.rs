@@ -149,75 +149,18 @@ proptest! {
     }
 }
 
-mod vp_tree {
-    use super::*;
-    use mccatch_index::VpTree;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        #[test]
-        fn vp_range_count_matches_brute(pts in points_2d(), q in 0usize..120, r in 0.0..150.0f64, cap in 2usize..12) {
-            let q = q % pts.len();
-            let ids: Vec<u32> = (0..pts.len() as u32).collect();
-            let vp = VpTree::build(pts.clone(), ids.clone(), Euclidean, cap);
-            let brute = BruteForce::new(pts.clone(), ids, Euclidean);
-            prop_assert_eq!(vp.range_count(&pts[q], r), brute.range_count(&pts[q], r));
-        }
-
-        #[test]
-        fn vp_range_ids_match_brute(pts in points_5d(), q in 0usize..60, r in 0.0..20.0f64) {
-            let q = q % pts.len();
-            let ids: Vec<u32> = (0..pts.len() as u32).collect();
-            let vp = VpTree::build(pts.clone(), ids.clone(), Euclidean, 4);
-            let brute = BruteForce::new(pts.clone(), ids, Euclidean);
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            vp.range_ids(&pts[q], r, &mut a);
-            brute.range_ids(&pts[q], r, &mut b);
-            prop_assert_eq!(a, b);
-        }
-
-        #[test]
-        fn vp_knn_matches_brute(pts in points_2d(), q in 0usize..120, k in 1usize..10) {
-            let q = q % pts.len();
-            let ids: Vec<u32> = (0..pts.len() as u32).collect();
-            let vp = VpTree::build(pts.clone(), ids.clone(), Euclidean, 4);
-            let brute = BruteForce::new(pts.clone(), ids, Euclidean);
-            let a = vp.knn(&pts[q], k);
-            let b = brute.knn(&pts[q], k);
-            prop_assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(&b) {
-                prop_assert_eq!(x.id, y.id);
-                prop_assert!((x.dist - y.dist).abs() < 1e-9);
-            }
-        }
-
-        #[test]
-        fn vp_strings_match_brute(ws in words(), q in 0usize..50, r in 0.0..5.0f64) {
-            let q = q % ws.len();
-            let ids: Vec<u32> = (0..ws.len() as u32).collect();
-            let vp = VpTree::build(ws.clone(), ids.clone(), Levenshtein, 3);
-            let brute = BruteForce::new(ws.clone(), ids, Levenshtein);
-            prop_assert_eq!(vp.range_count(&ws[q], r), brute.range_count(&ws[q], r));
-        }
-    }
-}
-
 /// A negative radius reaches nothing, and `-0.0` is `0.0`: every backend
 /// agrees with brute force on `range_count`, `range_ids` and the
 /// multi-radius count, on a line whose query point has a duplicate.
 #[test]
 fn negative_and_signed_zero_radii_match_brute() {
-    use mccatch_index::VpTree;
     let mut pts: Vec<Vec<f64>> = (0..50).map(|i| vec![i as f64]).collect();
     pts.push(vec![10.0]);
     let ids: Vec<u32> = (0..pts.len() as u32).collect();
     let brute = BruteForce::new(pts.clone(), ids.clone(), Euclidean);
     let kd = KdTree::build(pts.clone(), ids.clone(), 4);
-    let vp = VpTree::build(pts.clone(), ids.clone(), Euclidean, 4);
     let slim = SlimTree::build(pts.clone(), ids, Euclidean, 4);
-    let backends: [(&str, &dyn RangeIndex<Vec<f64>>); 3] =
-        [("kd", &kd), ("vp", &vp), ("slim", &slim)];
+    let backends: [(&str, &dyn RangeIndex<Vec<f64>>); 2] = [("kd", &kd), ("slim", &slim)];
     let radii = [-2.5, -0.0, 0.0, 1.0];
     let q = vec![10.0];
     for &r in &radii {
@@ -248,17 +191,15 @@ fn negative_and_signed_zero_radii_match_brute() {
 /// `[1, 1, 1]` is `fl(√3)`, so the radius `√3` reaches both points.
 #[test]
 fn radius_whose_square_rounds_down_matches_brute() {
-    use mccatch_index::VpTree;
     let pts = vec![vec![0.0, 0.0, 0.0], vec![1.0, 1.0, 1.0]];
     let ids = vec![0, 1];
     let r = 3f64.sqrt();
     assert!(r * r < 3.0);
     let brute = BruteForce::new(pts.clone(), ids.clone(), Euclidean);
     let kd = KdTree::build(pts.clone(), ids.clone(), 1);
-    let vp = VpTree::build(pts.clone(), ids.clone(), Euclidean, 1);
     let slim = SlimTree::build(pts.clone(), ids, Euclidean, 4);
-    let backends: [(&str, &dyn RangeIndex<Vec<f64>>); 4] =
-        [("brute", &brute), ("kd", &kd), ("vp", &vp), ("slim", &slim)];
+    let backends: [(&str, &dyn RangeIndex<Vec<f64>>); 3] =
+        [("brute", &brute), ("kd", &kd), ("slim", &slim)];
     let radii = [r.next_down(), r, r.next_up()];
     for (name, index) in backends {
         assert_eq!(index.range_count(&pts[0], r), 2, "{name}");

@@ -13,7 +13,7 @@
 //! count, and fall back to the per-query join when the tree does not
 //! index all of the very slice it is handed.
 
-use mccatch_index::{BruteForce, KdTree, RangeIndex, SlimTree, VpTree, OVER};
+use mccatch_index::{BruteForce, KdTree, RangeIndex, SlimTree, OVER};
 use mccatch_metric::{Euclidean, Levenshtein};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -208,15 +208,6 @@ proptest! {
     }
 
     #[test]
-    fn vp_multi_matches_per_radius(pts in points_2d(), q in 0usize..120, radii in grid(), cap in 0u32..20, leaf in 2usize..10) {
-        let q = q % pts.len();
-        let idx = VpTree::build(pts.clone(), (0..pts.len() as u32).collect(), Euclidean, leaf);
-        let got = idx.multi_range_count(&pts[q], &radii, cap);
-        let want = per_radius_reference(&idx, &pts[q], &radii, cap);
-        prop_assert_eq!(got.as_slice(), want.as_slice());
-    }
-
-    #[test]
     fn slim_multi_matches_per_radius(pts in points_2d(), q in 0usize..120, radii in grid(), cap in 0u32..20, node_cap in 4usize..10) {
         let q = q % pts.len();
         let idx = SlimTree::build(pts.clone(), (0..pts.len() as u32).collect(), Euclidean, node_cap);
@@ -232,11 +223,9 @@ proptest! {
         let ids: Vec<u32> = (0..pts.len() as u32).collect();
         let brute = BruteForce::new(pts.clone(), ids.clone(), Euclidean);
         let kd = KdTree::build(pts.clone(), ids.clone(), 4);
-        let vp = VpTree::build(pts.clone(), ids.clone(), Euclidean, 4);
         let slim = SlimTree::build(pts.clone(), ids, Euclidean, 6);
         let want = brute.multi_range_count(&pts[q], &radii, u32::MAX);
         prop_assert_eq!(&kd.multi_range_count(&pts[q], &radii, u32::MAX), &want);
-        prop_assert_eq!(&vp.multi_range_count(&pts[q], &radii, u32::MAX), &want);
         prop_assert_eq!(&slim.multi_range_count(&pts[q], &radii, u32::MAX), &want);
         // And every column equals a plain range_count.
         for (k, &r) in radii.iter().enumerate() {
@@ -248,14 +237,10 @@ proptest! {
     fn slim_multi_on_strings(ws in words(), q in 0usize..50, cap in 0u32..10) {
         let q = q % ws.len();
         let ids: Vec<u32> = (0..ws.len() as u32).collect();
-        let slim = SlimTree::build(ws.clone(), ids.clone(), Levenshtein, 4);
-        let vp = VpTree::build(ws.clone(), ids, Levenshtein, 3);
+        let slim = SlimTree::build(ws.clone(), ids, Levenshtein, 4);
         let radii = [0.0, 1.0, 2.0, 3.0, 5.0, 8.0];
         let got = slim.multi_range_count(&ws[q], &radii, cap);
         let want = per_radius_reference(&slim, &ws[q], &radii, cap);
-        prop_assert_eq!(got.as_slice(), want.as_slice());
-        let got = vp.multi_range_count(&ws[q], &radii, cap);
-        let want = per_radius_reference(&vp, &ws[q], &radii, cap);
         prop_assert_eq!(got.as_slice(), want.as_slice());
     }
 
@@ -279,8 +264,6 @@ proptest! {
         check_within(&brute, &pts[q], &radii, cap, &ceil)?;
         let kd = KdTree::build(pts.clone(), ids.clone(), leaf);
         check_within(&kd, &pts[q], &radii, cap, &ceil)?;
-        let vp = VpTree::build(pts.clone(), ids.clone(), Euclidean, leaf);
-        check_within(&vp, &pts[q], &radii, cap, &ceil)?;
         let slim = SlimTree::build(pts.clone(), ids, Euclidean, leaf.max(4));
         check_within(&slim, &pts[q], &radii, cap, &ceil)?;
     }
@@ -298,8 +281,8 @@ proptest! {
         let ids: Vec<u32> = (0..ws.len() as u32).collect();
         let slim = SlimTree::build(ws.clone(), ids.clone(), Levenshtein, 4);
         check_within(&slim, &ws[q], &radii, cap, &ceil)?;
-        let vp = VpTree::build(ws.clone(), ids, Levenshtein, 3);
-        check_within(&vp, &ws[q], &radii, cap, &ceil)?;
+        let brute = BruteForce::new(ws.clone(), ids, Levenshtein);
+        check_within(&brute, &ws[q], &radii, cap, &ceil)?;
     }
 
     #[test]
@@ -496,8 +479,8 @@ fn multi_with_empty_grid_is_empty() {
 fn cap_zero_records_the_crossing_exactly() {
     // Every count is >= 1 > 0, so only the first column is exact.
     let pts: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64]).collect();
-    let vp = VpTree::build(pts.clone(), (0..10).collect(), Euclidean, 2);
-    let got = vp.multi_range_count(&pts[5], &[1.0, 2.0, 3.0], 0);
+    let slim = SlimTree::build(pts.clone(), (0..10).collect(), Euclidean, 4);
+    let got = slim.multi_range_count(&pts[5], &[1.0, 2.0, 3.0], 0);
     assert_eq!(got.as_slice(), &[3, OVER, OVER]);
 }
 

@@ -7,7 +7,7 @@
 //! as the serving path's inlier tree does, and the kd-tree runs every
 //! leaf capacity from 1 to `n + 1`.
 
-use mccatch_index::{BruteForce, KdTree, Neighbor, RangeIndex, SlimTree, VpTree};
+use mccatch_index::{BruteForce, KdTree, Neighbor, RangeIndex, SlimTree};
 use mccatch_metric::{Euclidean, Levenshtein, Metric};
 use proptest::prelude::*;
 
@@ -84,10 +84,9 @@ proptest! {
         // Leaf capacities 1..=n + 1 (the larger draws wrap into range).
         let leaf = 1 + (leaf - 1) % (ids.len() + 1);
         let kd = KdTree::build(pts.clone(), ids.clone(), leaf);
-        let vp = VpTree::build(pts.clone(), ids.clone(), Euclidean, cap);
         let slim = SlimTree::build(pts.clone(), ids.clone(), Euclidean, cap + 2);
-        let backends: [(&str, &dyn RangeIndex<Vec<f64>>); 4] =
-            [("kd", &kd), ("vp", &vp), ("slim", &slim), ("brute", &brute)];
+        let backends: [(&str, &dyn RangeIndex<Vec<f64>>); 3] =
+            [("kd", &kd), ("slim", &slim), ("brute", &brute)];
         // Indexed points, points left out of a subset tree, and a lattice
         // point that may be indexed or not.
         let lattice_q: Vec<f64> = query[..dim].iter().map(|&x| f64::from(x)).collect();
@@ -108,10 +107,8 @@ proptest! {
     ) {
         let ids = subset(words.len(), step, offset);
         let brute = BruteForce::new(words.clone(), ids.clone(), Levenshtein);
-        let vp = VpTree::build(words.clone(), ids.clone(), Levenshtein, cap);
         let slim = SlimTree::build(words.clone(), ids.clone(), Levenshtein, cap + 2);
-        let backends: [(&str, &dyn RangeIndex<String>); 3] =
-            [("vp", &vp), ("slim", &slim), ("brute", &brute)];
+        let backends: [(&str, &dyn RangeIndex<String>); 2] = [("slim", &slim), ("brute", &brute)];
         for (name, index) in backends {
             for q in [&words[0], &words[words.len() - 1], &query] {
                 check(name, index, &brute, q)?;
@@ -145,11 +142,10 @@ fn nearest_on_an_empty_index_is_none() {
     let pts = vec![vec![1.0, 2.0], vec![3.0, 4.0]];
     let q = vec![0.0, 0.0];
     let kd = KdTree::build(pts.clone(), vec![], 4);
-    let vp = VpTree::build(pts.clone(), vec![], Euclidean, 4);
     let slim = SlimTree::build(pts.clone(), vec![], Euclidean, 4);
     let brute = BruteForce::new(pts, vec![], Euclidean);
-    let backends: [(&str, &dyn RangeIndex<Vec<f64>>); 4] =
-        [("kd", &kd), ("vp", &vp), ("slim", &slim), ("brute", &brute)];
+    let backends: [(&str, &dyn RangeIndex<Vec<f64>>); 3] =
+        [("kd", &kd), ("slim", &slim), ("brute", &brute)];
     for (name, index) in backends {
         assert!(index.nearest(&q).is_none(), "{name}");
         assert!(index.knn(&q, 3).is_empty(), "{name}");

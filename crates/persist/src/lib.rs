@@ -39,7 +39,7 @@
 //!
 //! ```
 //! use mccatch_core::{McCatch, Params};
-//! use mccatch_index::VpTreeBuilder;
+//! use mccatch_index::SlimTreeBuilder;
 //! use mccatch_metric::Euclidean;
 //! use mccatch_persist::{load_model, save_model};
 //!
@@ -47,12 +47,12 @@
 //! let points: Vec<Vec<f64>> =
 //!     (0..64).map(|i| vec![i as f64, (i % 7) as f64]).collect();
 //! let fitted =
-//!     McCatch::new(Params::default())?.fit(points, Euclidean, VpTreeBuilder::default())?;
+//!     McCatch::new(Params::default())?.fit(points, Euclidean, SlimTreeBuilder::default())?;
 //!
 //! let mut buf = Vec::new();
 //! save_model(&fitted, 0, 0, &mut buf)?;
 //!
-//! let loaded = load_model(&buf[..], Euclidean, VpTreeBuilder::default())?;
+//! let loaded = load_model(&buf[..], Euclidean, SlimTreeBuilder::default())?;
 //! let query = vec![3.5, 2.0];
 //! assert_eq!(
 //!     fitted.score_one(&query).to_bits(),

@@ -19,7 +19,7 @@
 //! version        u16       1
 //! flags          u16       0 (reserved)
 //! point_kind     u8        1 = f64 vector, 2 = UTF-8 string
-//! backend        u8 len + bytes ("brute" | "kd" | "vp" | "slim" | …)
+//! backend        u8 len + bytes ("brute" | "kd" | "slim" | …)
 //! dim            u32       uniform dimensionality, 0 = unconstrained
 //! num_points     u64
 //! generation     u64       ModelStore generation at save time

@@ -9,7 +9,7 @@
 //! error variant, not just "some error".
 
 use mccatch_core::{McCatch, McCatchError, Params};
-use mccatch_index::VpTreeBuilder;
+use mccatch_index::KdTreeBuilder;
 use mccatch_metric::Euclidean;
 use mccatch_persist::{
     crc32, load_model, read_info, save_model, PersistError, ReplayReader, FORMAT_VERSION,
@@ -23,7 +23,7 @@ fn valid_snapshot() -> Vec<u8> {
         .collect();
     let fitted = McCatch::new(Params::default())
         .unwrap()
-        .fit(points, Euclidean, VpTreeBuilder::default())
+        .fit(points, Euclidean, KdTreeBuilder::default())
         .unwrap();
     let mut buf = Vec::new();
     save_model(&fitted, 1, 48, &mut buf).unwrap();
@@ -31,7 +31,7 @@ fn valid_snapshot() -> Vec<u8> {
 }
 
 fn try_load(bytes: &[u8]) -> Result<(), PersistError> {
-    load_model::<Vec<f64>, _, _, _>(bytes, Euclidean, VpTreeBuilder::default()).map(|_| ())
+    load_model::<Vec<f64>, _, _, _>(bytes, Euclidean, KdTreeBuilder::default()).map(|_| ())
 }
 
 proptest! {
@@ -146,7 +146,7 @@ fn reserved_flag_bits_are_refused() {
 fn huge_declared_point_count_does_not_allocate() {
     let full = valid_snapshot();
     // num_points is the u64 following magic(4) + version(2) + flags(2) +
-    // point_kind(1) + backend_len(1) + backend("vp" = 2) + dim(4).
+    // point_kind(1) + backend_len(1) + backend("kd" = 2) + dim(4).
     let off = 4 + 2 + 2 + 1 + 1 + 2 + 4;
     let mut bytes = full.clone();
     bytes[off..off + 8].copy_from_slice(&u64::MAX.to_le_bytes());
@@ -168,7 +168,7 @@ fn num_radii_past_the_grid_shift_is_a_typed_error() {
     let (body, trailer) = full.split_at(full.len() - 4);
     assert_eq!(crc32(body).to_le_bytes(), trailer);
     // num_radii is the u32 after magic(4) + version(2) + flags(2) +
-    // point_kind(1) + backend_len(1) + "vp"(2) + dim(4) + num_points,
+    // point_kind(1) + backend_len(1) + "kd"(2) + dim(4) + num_points,
     // generation and seq (8 each); the 15 radii follow the stats
     // witness, which ends with the degenerate byte.
     let off = 4 + 2 + 2 + 1 + 1 + 2 + 4 + 8 + 8 + 8;

@@ -9,9 +9,7 @@
 //! through the replay log.
 
 use mccatch_core::{McCatch, McCatchOutput, Microcluster, Model, ModelExport, ModelStats, Params};
-use mccatch_index::{
-    BruteForceBuilder, IndexBuilder, KdTreeBuilder, SlimTreeBuilder, VpTreeBuilder,
-};
+use mccatch_index::{BruteForceBuilder, IndexBuilder, KdTreeBuilder, SlimTreeBuilder};
 use mccatch_metric::{Euclidean, Levenshtein};
 use mccatch_persist::{
     load_model, load_store, read_info, restore_stream, save_model, save_store, FsyncPolicy,
@@ -94,20 +92,19 @@ proptest! {
     fn round_trip_is_bit_identical_on_all_backends((points, queries) in datasets()) {
         assert_round_trip(BruteForceBuilder, &points, &queries)?;
         assert_round_trip(KdTreeBuilder::default(), &points, &queries)?;
-        assert_round_trip(VpTreeBuilder::default(), &points, &queries)?;
         assert_round_trip(SlimTreeBuilder::default(), &points, &queries)?;
     }
 
     #[test]
     fn store_round_trip_resumes_generation_and_seq((points, queries) in datasets()) {
         let fitted = McCatch::new(Params::default()).unwrap()
-            .fit(points, Euclidean, VpTreeBuilder::default()).unwrap();
+            .fit(points, Euclidean, SlimTreeBuilder::default()).unwrap();
         let expected = bits(&fitted.score_batch(&queries));
         let store = mccatch_core::ModelStore::with_generation(fitted.into_model(), 9);
 
         let mut buf = Vec::new();
         save_store(&store, 1234, &mut buf).expect("save_store");
-        let loaded = load_store(&buf[..], Euclidean, VpTreeBuilder::default())
+        let loaded = load_store(&buf[..], Euclidean, SlimTreeBuilder::default())
             .expect("load_store");
         prop_assert_eq!(loaded.store.generation(), 9);
         prop_assert_eq!(loaded.seq, 1234);
@@ -141,8 +138,8 @@ fn backend_mismatch_is_refused() {
         .unwrap();
     let mut buf = Vec::new();
     save_model(&fitted, 0, 0, &mut buf).unwrap();
-    let err =
-        load_model::<Vec<f64>, _, _, _>(&buf[..], Euclidean, VpTreeBuilder::default()).unwrap_err();
+    let err = load_model::<Vec<f64>, _, _, _>(&buf[..], Euclidean, SlimTreeBuilder::default())
+        .unwrap_err();
     assert!(matches!(err, PersistError::BackendMismatch { .. }), "{err}");
 }
 

@@ -10,9 +10,7 @@
 //! backend, for both `Vec<f64>` and `String` points.
 
 use mccatch_core::McCatch;
-use mccatch_index::{
-    BruteForceBuilder, IndexBuilder, KdTreeBuilder, SlimTreeBuilder, VpTreeBuilder,
-};
+use mccatch_index::{BruteForceBuilder, IndexBuilder, KdTreeBuilder, SlimTreeBuilder};
 use mccatch_metric::{Euclidean, Levenshtein, Metric};
 use mccatch_persist::{FsyncPolicy, PersistPoint};
 use mccatch_stream::{RefitPolicy, StreamConfig};
@@ -165,9 +163,6 @@ proptest! {
             Euclidean, KdTreeBuilder::default(), shards, &seed, &mid, &post, &queries,
         )?;
         assert_tenant_round_trip(
-            Euclidean, VpTreeBuilder::default(), shards, &seed, &mid, &post, &queries,
-        )?;
-        assert_tenant_round_trip(
             Euclidean, SlimTreeBuilder::default(), shards, &seed, &mid, &post, &queries,
         )?;
     }
@@ -181,9 +176,6 @@ proptest! {
         // cannot index string points.
         assert_tenant_round_trip(
             Levenshtein, BruteForceBuilder, shards, &seed, &mid, &post, &queries,
-        )?;
-        assert_tenant_round_trip(
-            Levenshtein, VpTreeBuilder::default(), shards, &seed, &mid, &post, &queries,
         )?;
         assert_tenant_round_trip(
             Levenshtein, SlimTreeBuilder::default(), shards, &seed, &mid, &post, &queries,
